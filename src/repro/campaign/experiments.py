@@ -419,16 +419,13 @@ def _survey_replay_store(params: dict, size: int, sweep_seed: int):
 def survey_replay(params: dict, seed: int) -> dict:
     """Replay the three survey line streams from a stored sweep.
 
-    The from-store analysis hot path in isolation: store read, chunk
-    decode, site/kind filter, ``>> 6``.  ``mode`` selects the columnar
-    (``array``) or per-record-object (``object``) decoder; the metrics
-    fingerprint the line streams and deliberately exclude ``mode``, so
-    the perf harness flags any divergence between the two decoders as a
-    digest mismatch.
+    The from-store analysis hot path in isolation: store read, columnar
+    chunk decode, site/kind filter, ``>> 6``.  The metrics fingerprint
+    the line streams.
 
     Params: ``size``, ``sweep_seed`` (defaults to the job seed),
-    ``mode`` (``array`` | ``object``), optional ``store`` path (default:
-    a per-process scratch store, captured on first use).
+    optional ``store`` path (default: a per-process scratch store,
+    captured on first use).
     """
     import hashlib
 
@@ -436,18 +433,12 @@ def survey_replay(params: dict, seed: int) -> dict:
 
     size = int(params.get("size", 600))
     sweep_seed = int(params.get("sweep_seed", seed))
-    mode = params.get("mode", "array")
-    if mode not in ("array", "object"):
-        raise ValueError(f"unknown replay mode {mode!r}")
     store = _survey_replay_store(params, size, sweep_seed)
     digest = hashlib.sha256()
     out: dict = {}
     for target in ("zlib", "lzw", "bzip2"):
         lines = target_lines(
-            store,
-            f"survey-{target}-n{size}-s{sweep_seed}",
-            target,
-            use_columns=(mode == "array"),
+            store, f"survey-{target}-n{size}-s{sweep_seed}", target
         )
         out[f"{target}_lines"] = int(lines.shape[0])
         digest.update(lines.astype("<i8").tobytes())
@@ -460,13 +451,11 @@ def fig7_replay(params: dict, seed: int) -> dict:
     """Reassemble the Fig. 7 classifier dataset from a stored trace.
 
     The from-store counterpart of ``fingerprint_dataset``: pooling and
-    flattening only, no victim, no classifier.  Same ``mode`` contract
-    as ``survey_replay`` — the dataset digest excludes it, pinning the
-    columnar path to the object path.
+    flattening only, no victim, no classifier.  At the same pin and seed
+    the two experiments report the same ``dataset_sha256``.
 
     Params: ``corpus``, ``traces``, ``sweep_seed`` (defaults to the job
-    seed), ``work_factor``, ``max_file_bytes``, ``mode``, optional
-    ``store`` path.
+    seed), ``work_factor``, ``max_file_bytes``, optional ``store`` path.
     """
     import hashlib
 
@@ -476,9 +465,6 @@ def fig7_replay(params: dict, seed: int) -> dict:
     corpus = params.get("corpus", "lipsum")
     traces = int(params.get("traces", 10))
     sweep_seed = int(params.get("sweep_seed", seed))
-    mode = params.get("mode", "array")
-    if mode not in ("array", "object"):
-        raise ValueError(f"unknown replay mode {mode!r}")
     work_factor = params.get("work_factor")
     max_file_bytes = params.get("max_file_bytes")
     trace_id = f"fingerprint-{corpus}-t{traces}-s{sweep_seed}"
@@ -507,7 +493,7 @@ def fig7_replay(params: dict, seed: int) -> dict:
             ("fig7", corpus, traces, sweep_seed, work_factor, max_file_bytes),
             capture,
         )
-    x, y = dataset_from_store(store, trace_id, use_columns=(mode == "array"))
+    x, y = dataset_from_store(store, trace_id)
     digest = hashlib.sha256()
     digest.update(x.tobytes())
     digest.update(y.astype("<i8").tobytes())

@@ -7,9 +7,9 @@ analysis pass downstream immediately reduces the record to two or three
 integers (address, site id, kind id).  This module decodes the same
 chunk bytes straight into int64 columns.
 
-For version-2 files the chunk's record directory (see
-:mod:`repro.traces.format`) makes this almost free of per-record Python
-work:
+Framing, CRCs and each chunk's record directory are parsed by the same
+functions the object reader uses (:mod:`repro.traces.format`).  The
+directory makes the decode almost free of per-record Python work:
 
 1. record byte boundaries are a cumulative sum of the directory's
    length entries, and the per-record taint booleans are directory flag
@@ -18,52 +18,39 @@ work:
    together, one byte lane at a time, over vectors of record offsets;
 3. per-chunk delta fields (seq, index, address) become ``np.cumsum``.
 
-Version-1 files (no directory) take a slower but still object-free
-path: every varint in the chunk is decoded in one vectorised pass, then
-a cursor walk over the value list recovers record boundaries.
+Structural damage raises :class:`TraceFormatError`.  Whenever both
+readers accept a file the output equals, field for field, what the
+object reader produces (``tests/test_traces_columns.py``, including
+mutated files); inputs the vectorised paths cannot represent exactly
+(any varint beyond 63 bits, i.e. values past ``2**63 - 1``) fall back
+to object decoding transparently.
 
-Corruption detection is unchanged: every chunk's CRC is checked before
-decoding and structural damage raises :class:`TraceFormatError`.  The
-output is proven equal, field for field, to the object path
-(``tests/test_traces_columns.py``); inputs the vectorised paths cannot
-represent exactly (any varint beyond 63 bits, i.e. values past
-``2**63 - 1``) fall back to object decoding transparently.
-
-The ``oracle`` species stores fixed-width IEEE-754 doubles mid-record,
-which breaks the uniform-varint property the version-1 path needs, and
-its analyses are scalar anyway — :func:`read_trace_columns` raises
+The ``oracle`` species stores fixed-width IEEE-754 doubles mid-record
+and its analyses are scalar anyway — :func:`read_trace_columns` raises
 ``ValueError`` for it.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.taint.bittaint import BitTaint
 from repro.traces.format import (
-    _CHUNK_HEADER,
-    _HEADER,
-    _SPECIES_NAMES,
+    _MAX_FAST_VARINT_BYTES,
+    _FallbackNeeded,
     _StringTable,
-    MAGIC,
+    _decode_varint_stream,
+    _read_chunk_prefix,
+    _read_frames,
     SPECIES_FINGERPRINT,
     SPECIES_MEMORY,
-    SUPPORTED_VERSIONS,
     TraceFormatError,
     iter_trace,
-    read_uvarint,
 )
 
 LINE_BITS = 6
-
-# Values at or above 2**63 overflow the int64 columns the vectorised
-# paths assemble into; any varint longer than this many bytes routes the
-# whole trace through the object-path fallback.
-_MAX_FAST_VARINT_BYTES = 9
 
 
 @dataclass
@@ -216,11 +203,14 @@ class FingerprintColumns:
         # Pick out the 1-runs: a run's value is (start + ordinal) & 1
         # with ordinal its index within the capture, so its parity is
         # global-index parity XOR (capture block start + start) parity.
+        # Empty runs cover no sample (the writer never emits them, but
+        # a hostile file may) and must not mark a window.
         block = np.cumsum(counts) - counts
         offsets = np.asarray(rle.starts, dtype=np.int64) + block
         one = (
             (np.arange(total, dtype=np.int64) ^ np.repeat(offsets, counts)) & 1
         ) == 1
+        one &= lengths > 0
         e1 = g_end[one]
         s1 = e1 - lengths[one]
         n_windows = n * rows * width
@@ -286,46 +276,9 @@ class FingerprintColumns:
 TraceColumns = Union[MemoryColumns, FingerprintColumns]
 
 
-class _FallbackNeeded(Exception):
-    """A chunk contains a varint the int64 fast path cannot hold."""
-
-
 # ----------------------------------------------------------------------
 # vectorised varint decoding
 # ----------------------------------------------------------------------
-def _decode_varint_stream(
-    body: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode every LEB128 varint in ``body`` (uint8) in one pass.
-
-    Returns ``(values, starts)`` — the decoded uint-interpreted values
-    as int64 and each varint's byte offset (for error reporting).
-    Raises :class:`_FallbackNeeded` when any varint exceeds the int64
-    fast path and :class:`TraceFormatError` on a truncated tail.
-    """
-    if body.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ends = np.flatnonzero(body < 0x80)
-    if ends.size == 0 or ends[-1] != body.size - 1:
-        raise TraceFormatError("truncated varint")
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    max_len = int(lengths.max())
-    if max_len > _MAX_FAST_VARINT_BYTES:
-        raise _FallbackNeeded
-    # Gather lane by lane from the uint8 body: only the (shrinking) set
-    # of varints long enough for each lane pays the int64 widening, so
-    # the body is never materialised as int64 wholesale.
-    values = (body[starts] & 0x7F).astype(np.int64)
-    for k in range(1, max_len):
-        longer = np.flatnonzero(lengths > k)
-        lane = body[starts[longer] + k] & 0x7F
-        values[longer] |= lane.astype(np.int64) << (7 * k)
-    return values, starts
-
-
 def _gather_varints(
     data: np.ndarray, pos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -378,80 +331,12 @@ def _safe_cumsum(deltas: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# chunk iteration (shared header/CRC validation)
-# ----------------------------------------------------------------------
-def _read_header(data: bytes) -> tuple[str, int]:
-    if len(data) < _HEADER.size:
-        raise TraceFormatError("truncated trace header")
-    magic, version, species_code, _ = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
-    if version not in SUPPORTED_VERSIONS:
-        raise TraceFormatError(
-            f"unsupported trace format version {version} "
-            f"(this reader speaks {SUPPORTED_VERSIONS})"
-        )
-    species = _SPECIES_NAMES.get(species_code)
-    if species is None:
-        raise TraceFormatError(f"unknown species code {species_code}")
-    return species, version
-
-
-def _iter_chunks(data: bytes) -> Iterator[bytes]:
-    """CRC-checked chunk payloads of an in-memory trace file."""
-    pos = _HEADER.size
-    total = len(data)
-    while pos < total:
-        if pos + _CHUNK_HEADER.size > total:
-            raise TraceFormatError("truncated chunk header")
-        length, crc = _CHUNK_HEADER.unpack_from(data, pos)
-        pos += _CHUNK_HEADER.size
-        raw = data[pos : pos + length]
-        if len(raw) != length:
-            raise TraceFormatError("truncated chunk payload")
-        if zlib.crc32(raw) != crc:
-            raise TraceFormatError("chunk CRC mismatch: trace file is corrupted")
-        pos += length
-        yield raw
-
-
-def _read_directory(
-    raw: bytes, buf: memoryview, strings: _StringTable
-) -> tuple[int, np.ndarray, int]:
-    """Common v2 chunk prefix: prelude, count, record directory.
-
-    Returns ``(n_records, directory_values, records_base)`` where
-    ``records_base`` is the byte offset of the first record.
-    """
-    pos = strings.read_prelude(buf, 0)
-    n_records, pos = read_uvarint(buf, pos)
-    dir_nbytes, pos = read_uvarint(buf, pos)
-    if pos + dir_nbytes > len(buf):
-        raise TraceFormatError("truncated record directory")
-    dir_bytes = np.frombuffer(raw, dtype=np.uint8, offset=pos, count=dir_nbytes)
-    entries, _ = _decode_varint_stream(dir_bytes)
-    if entries.shape[0] != n_records:
-        raise TraceFormatError(
-            f"record directory holds {entries.shape[0]} entries "
-            f"for {n_records} records"
-        )
-    return n_records, entries, pos + dir_nbytes
-
-
-# ----------------------------------------------------------------------
 # memory species
 # ----------------------------------------------------------------------
-def _decode_memory_chunk_v2(
-    raw: bytes, strings: _StringTable, acc: dict
-) -> None:
+def _decode_memory_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
     """Directory-driven decode: no per-record Python in the hot loop."""
-    buf = memoryview(raw)
-    n_records, entries, base = _read_directory(raw, buf, strings)
-    if base + int((entries >> 2).sum()) != len(raw):
-        raise TraceFormatError(
-            f"{len(raw) - base - int((entries >> 2).sum())} "
-            f"trailing bytes in chunk"
-        )
+    entries, base = _read_chunk_prefix(raw, strings)
+    n_records = entries.shape[0]
     if not n_records:
         return
     byte_lens = entries >> 2
@@ -469,6 +354,12 @@ def _decode_memory_chunk_v2(
     # directory flags already carry the per-record taint booleans.
     if (pos > rec_starts + byte_lens).any():
         raise TraceFormatError("record fields overrun the directory entry")
+    # Ids may only name strings introduced up to this chunk, exactly as
+    # the object reader resolves them.
+    n_strings = len(strings._strings)
+    for ids in (fields[1], fields[2], fields[6]):
+        if int(ids.max()) >= n_strings:
+            raise TraceFormatError(f"string id {int(ids.max())} out of range")
     acc["seq"].append(_safe_cumsum(_unzigzag(fields[0])))
     acc["kind_id"].append(fields[1])
     acc["array_id"].append(fields[2])
@@ -480,73 +371,17 @@ def _decode_memory_chunk_v2(
     acc["value_tainted"].append((entries & 0b01) != 0)
 
 
-def _decode_memory_chunk_v1(
-    raw: bytes, strings: _StringTable, acc: dict
-) -> None:
-    """Legacy chunks: vectorised varint pass + cursor walk over values."""
-    buf = memoryview(raw)
-    prelude_end = strings.read_prelude(buf, 0)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=prelude_end)
-    values, starts = _decode_varint_stream(body)
-    v = values.tolist()
-    if not v:
-        raise TraceFormatError("truncated varint")
-    n_records = v[0]
-    i = 1
-    rec_starts: list[int] = []
-    addr_runs: list[int] = []
-    value_runs: list[int] = []
-    # One pass over the value stream recovers the record structure:
-    # 7 fixed header fields, then the two taint encodings, each
-    # ``n_runs`` of (gap, length, n_tags, tags...).
-    try:
-        for _ in range(n_records):
-            rec_starts.append(i)
-            i += 7
-            n_runs = v[i]
-            i += 1
-            addr_runs.append(n_runs)
-            for _ in range(n_runs):
-                i += 3 + v[i + 2]
-            n_runs = v[i]
-            i += 1
-            value_runs.append(n_runs)
-            for _ in range(n_runs):
-                i += 3 + v[i + 2]
-    except IndexError:
-        raise TraceFormatError("truncated varint") from None
-    if i > len(v):
-        raise TraceFormatError("truncated varint")
-    if i != len(v):
-        raise TraceFormatError(
-            f"{len(body) - int(starts[i])} trailing bytes in chunk"
-        )
-    if not rec_starts:
-        return
-    rs = np.asarray(rec_starts, dtype=np.int64)
-    acc["seq"].append(_safe_cumsum(_unzigzag(values[rs])))
-    acc["kind_id"].append(values[rs + 1])
-    acc["array_id"].append(values[rs + 2])
-    acc["index"].append(_safe_cumsum(_unzigzag(values[rs + 3])))
-    acc["elem_size"].append(values[rs + 4])
-    acc["address"].append(_safe_cumsum(_unzigzag(values[rs + 5])))
-    acc["site_id"].append(values[rs + 6])
-    acc["addr_tainted"].append(np.asarray(addr_runs, dtype=np.int64) > 0)
-    acc["value_tainted"].append(np.asarray(value_runs, dtype=np.int64) > 0)
-
-
 _COLUMN_NAMES = (
     "seq", "kind_id", "array_id", "index", "elem_size",
     "address", "site_id", "addr_tainted", "value_tainted",
 )
 
 
-def _memory_columns(data: bytes, version: int) -> MemoryColumns:
+def _memory_columns(chunks: Iterator[bytes]) -> MemoryColumns:
     strings = _StringTable()
     acc: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_NAMES}
-    decode = _decode_memory_chunk_v2 if version >= 2 else _decode_memory_chunk_v1
-    for raw in _iter_chunks(data):
-        decode(raw, strings, acc)
+    for raw in chunks:
+        _decode_memory_chunk(raw, strings, acc)
 
     def cat(name: str, dtype) -> np.ndarray:
         parts = acc[name]
@@ -554,7 +389,7 @@ def _memory_columns(data: bytes, version: int) -> MemoryColumns:
             return np.empty(0, dtype=dtype)
         return np.concatenate(parts)
 
-    columns = MemoryColumns(
+    return MemoryColumns(
         seq=cat("seq", np.int64),
         kind_id=cat("kind_id", np.int64),
         array_id=cat("array_id", np.int64),
@@ -566,13 +401,6 @@ def _memory_columns(data: bytes, version: int) -> MemoryColumns:
         value_tainted=cat("value_tainted", bool),
         strings=tuple(strings._strings),
     )
-    n_strings = len(columns.strings)
-    for ids in (columns.kind_id, columns.array_id, columns.site_id):
-        if ids.size and (int(ids.max()) >= n_strings or int(ids.min()) < 0):
-            raise TraceFormatError(
-                f"string id {int(ids.max())} out of range"
-            )
-    return columns
 
 
 def _memory_columns_from_records(records) -> MemoryColumns:
@@ -617,24 +445,22 @@ def _memory_columns_from_records(records) -> MemoryColumns:
 # ----------------------------------------------------------------------
 # fingerprint species
 # ----------------------------------------------------------------------
-def _decode_fingerprint_chunk(
-    raw: bytes, strings: _StringTable, version: int, acc: dict
-) -> None:
-    buf = memoryview(raw)
-    prelude_end = strings.read_prelude(buf, 0)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=prelude_end)
+def _decode_fingerprint_chunk(raw: bytes, strings: _StringTable, acc: dict) -> None:
+    entries, base = _read_chunk_prefix(raw, strings)
+    if (entries & 0b11).any():
+        raise TraceFormatError("taint flags disagree with the record directory")
+    body = np.frombuffer(raw, dtype=np.uint8, offset=base)
     values, starts = _decode_varint_stream(body)
     v = values
-    if not v.shape[0]:
-        raise TraceFormatError("truncated varint")
-    n_records = int(v[0])
-    # The v2 record directory is one varint per record; fingerprint
-    # chunks are all-varint streams, so skipping it is pure arithmetic.
-    # Only the handful of header scalars per capture leave the array
-    # (the run vectors stay as int64 views), so no wholesale tolist.
-    i = 2 + n_records if version >= 2 else 1
+    n_values = v.shape[0]
+    # Fingerprint records are all-varint, so a record ends where its
+    # directory entry says iff the next varint starts there.  Only the
+    # handful of header scalars per capture leave the array (the run
+    # vectors stay as int64 views), so no wholesale tolist.
+    rec_ends = np.cumsum(entries >> 2).tolist()
+    i = 0
     try:
-        for _ in range(n_records):
+        for rec_end in rec_ends:
             raw_label = int(v[i])
             acc["labels"].append((raw_label >> 1) ^ -(raw_label & 1))
             acc["capture_seeds"].append(int(v[i + 1]))
@@ -645,40 +471,42 @@ def _decode_fingerprint_chunk(
                 acc["shapes"].append((rows, cols))
                 acc["starts"].append(0)
                 acc["runs"].append(np.zeros(0, dtype=np.int64))
-                continue
-            start_value = int(v[i])
-            if start_value not in (0, 1):
+            else:
+                # The start value is one raw byte, not a varint.
+                start_value = int(body[starts[i]])
+                if start_value not in (0, 1):
+                    raise TraceFormatError(
+                        f"invalid fingerprint start value {start_value}"
+                    )
+                n_runs = int(v[i + 1])
+                i += 2
+                runs = values[i : i + n_runs]
+                if runs.shape[0] != n_runs:
+                    raise TraceFormatError("truncated varint")
+                i += n_runs
+                # Run values alternate from start_value; the run-length
+                # form is kept as-is (materialised lazily), so the only
+                # decode-time work left is validating coverage.
+                covered = int(_safe_cumsum(runs)[-1]) if n_runs else 0
+                if covered > size:
+                    raise TraceFormatError("fingerprint runs overflow the tensor")
+                if covered != size:
+                    raise TraceFormatError(
+                        f"fingerprint runs cover {covered} of {size} samples"
+                    )
+                acc["shapes"].append((rows, cols))
+                acc["starts"].append(start_value)
+                acc["runs"].append(runs)
+            next_start = int(starts[i]) if i < n_values else body.size
+            if next_start != rec_end:
                 raise TraceFormatError(
-                    f"invalid fingerprint start value {start_value}"
+                    "record length disagrees with the record directory"
                 )
-            n_runs = int(v[i + 1])
-            i += 2
-            runs = values[i : i + n_runs]
-            if runs.shape[0] != n_runs:
-                raise TraceFormatError("truncated varint")
-            i += n_runs
-            # Run values alternate from start_value; the run-length
-            # form is kept as-is (materialised lazily), so the only
-            # decode-time work left is validating coverage.
-            covered = int(runs.sum())
-            if covered > size:
-                raise TraceFormatError("fingerprint runs overflow the tensor")
-            if covered != size:
-                raise TraceFormatError(
-                    f"fingerprint runs cover {covered} of {size} samples"
-                )
-            acc["shapes"].append((rows, cols))
-            acc["starts"].append(start_value)
-            acc["runs"].append(runs)
     except IndexError:
         raise TraceFormatError("truncated varint") from None
-    if i != len(v):
-        raise TraceFormatError(
-            f"{len(body) - int(starts[i])} trailing bytes in chunk"
-        )
 
 
-def _fingerprint_columns(data: bytes, version: int) -> FingerprintColumns:
+def _fingerprint_columns(chunks: Iterator[bytes]) -> FingerprintColumns:
     strings = _StringTable()
     acc: dict = {
         "labels": [],
@@ -687,8 +515,8 @@ def _fingerprint_columns(data: bytes, version: int) -> FingerprintColumns:
         "starts": [],
         "runs": [],
     }
-    for raw in _iter_chunks(data):
-        _decode_fingerprint_chunk(raw, strings, version, acc)
+    for raw in chunks:
+        _decode_fingerprint_chunk(raw, strings, acc)
     return FingerprintColumns(
         labels=np.asarray(acc["labels"], dtype=np.int64),
         capture_seeds=np.asarray(acc["capture_seeds"], dtype=np.int64),
@@ -711,6 +539,13 @@ def _fingerprint_columns_from_records(records) -> FingerprintColumns:
     )
 
 
+# Per species: the vectorised decoder and its object-path fallback.
+_DECODERS = {
+    SPECIES_MEMORY: (_memory_columns, _memory_columns_from_records),
+    SPECIES_FINGERPRINT: (_fingerprint_columns, _fingerprint_columns_from_records),
+}
+
+
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
@@ -723,26 +558,15 @@ def read_trace_columns(path) -> TraceColumns:
     traces have no columnar layout; use the object reader for them.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
-    species, version = _read_header(data)
-    if species == SPECIES_MEMORY:
+        species, chunks = _read_frames(handle)
+        if species not in _DECODERS:
+            raise ValueError(
+                f"no columnar decoder for {species!r} traces; "
+                f"use iter_trace/read_trace"
+            )
+        columnar, from_records = _DECODERS[species]
         try:
-            return _memory_columns(data, version)
+            return columnar(chunks)
         except _FallbackNeeded:
-            return _memory_columns_from_records(iter_trace(path))
-    if species == SPECIES_FINGERPRINT:
-        try:
-            return _fingerprint_columns(data, version)
-        except _FallbackNeeded:
-            return _fingerprint_columns_from_records(iter_trace(path))
-    raise ValueError(
-        f"no columnar decoder for {species!r} traces; "
-        f"use iter_trace/read_trace"
-    )
-
-
-def memory_taints(path) -> Iterator[tuple[BitTaint, BitTaint]]:
-    """Full per-record taint objects for a memory trace, for consumers
-    that need more than the boolean columns (rare; object-path cost)."""
-    for record in iter_trace(path):
-        yield record.addr_taint, record.value_taint
+            pass
+    return from_records(iter_trace(path))

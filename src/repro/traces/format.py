@@ -32,16 +32,22 @@ Layout of one ``.trc`` file::
     chunk*   payload_len u32 LE | crc32(payload) u32 LE | payload
 
     payload  new-strings prelude | record count varint
-             | record directory (v2+) | records
+             | record directory | records
 
     directory  total-bytes varint, then one varint per record:
                (record_byte_len << 2) | addr_tainted << 1 | value_tainted
 
-The version-2 record directory costs ~1 byte per record and is what
-makes the columnar fast path (:mod:`repro.traces.columns`) possible:
-record boundaries become a cumulative sum instead of a sequential
-decode, so replay analyses read whole chunks straight into numpy
-arrays.  Version-1 files (no directory) remain fully readable.
+The record directory costs ~1 byte per record and is what makes the
+columnar fast path (:mod:`repro.traces.columns`) possible: record
+boundaries become a cumulative sum instead of a sequential decode, so
+replay analyses read whole chunks straight into numpy arrays.  Both
+readers parse the file through the same two functions —
+:func:`_read_frames` (header, chunk lengths, CRCs) and
+:func:`_read_chunk_prefix` (string prelude, record count, directory) —
+and the object reader checks every record's byte length and taint flags
+against its directory entry, so the two readers cannot disagree about
+where a record starts or whether it is tainted.  Version 2 is the only
+format; any other version number is rejected.
 
 Taint is preserved bit-exactly (the per-bit tag sets of
 :class:`~repro.taint.bittaint.BitTaint`), so replayed traces drive the
@@ -55,8 +61,8 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -65,7 +71,6 @@ from repro.taint.bittaint import BitTaint
 
 MAGIC = b"ZTRC"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
 SPECIES_MEMORY = "memory"
 SPECIES_FINGERPRINT = "fingerprint"
@@ -78,6 +83,15 @@ _HEADER = struct.Struct("<4sHBB")
 _CHUNK_HEADER = struct.Struct("<II")
 
 DEFAULT_CHUNK_RECORDS = 4096
+
+# Highest bit position (exclusive) a stored BitTaint may cover.  Traced
+# values are at most 64 bits wide; the cap bounds what one run-length
+# entry can make the decoder allocate.
+MAX_TAINT_BITS = 1 << 16
+
+# Varints longer than this hold values past int64, which the vectorised
+# decoders cannot represent.
+_MAX_FAST_VARINT_BYTES = 9
 
 
 class TraceFormatError(ValueError):
@@ -194,6 +208,8 @@ def _encode_bittaint(out: bytearray, taint: BitTaint) -> None:
             runs[-1] = (runs[-1][0], runs[-1][1] + 1, ordered)
         else:
             runs.append((bit, 1, ordered))
+    if runs and runs[-1][0] + runs[-1][1] > MAX_TAINT_BITS:
+        raise ValueError(f"taint reaches past bit {MAX_TAINT_BITS}")
     write_uvarint(out, len(runs))
     prev_end = 0
     for start, length, ordered in runs:
@@ -218,6 +234,8 @@ def _decode_bittaint(buf: memoryview, pos: int) -> tuple[BitTaint, int]:
         length, pos = read_uvarint(buf, pos)
         start = end + gap
         end = start + length
+        if end > MAX_TAINT_BITS:
+            raise TraceFormatError(f"taint run reaches past bit {MAX_TAINT_BITS}")
         n_tags, pos = read_uvarint(buf, pos)
         tags = []
         tag = 0
@@ -268,7 +286,10 @@ class _StringTable:
             length, pos = read_uvarint(buf, pos)
             if pos + length > len(buf):
                 raise TraceFormatError("truncated string table entry")
-            self._strings.append(bytes(buf[pos : pos + length]).decode("utf-8"))
+            try:
+                self._strings.append(bytes(buf[pos : pos + length]).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(f"string table entry is not UTF-8: {exc}") from None
             pos += length
         return pos
 
@@ -381,31 +402,35 @@ class _FingerprintCodec:
         capture_seed, pos = read_uvarint(buf, pos)
         rows, pos = read_uvarint(buf, pos)
         cols, pos = read_uvarint(buf, pos)
+        if rows >= 1 << 63 or cols >= 1 << 63:
+            raise TraceFormatError(f"fingerprint shape {(rows, cols)} out of range")
         size = rows * cols
         if not size:
             trace = np.zeros((rows, cols), dtype=np.int8)
             return FingerprintCapture(label, capture_seed, trace), pos
         if pos >= len(buf):
             raise TraceFormatError("truncated fingerprint record")
-        value = buf[pos]
+        start = buf[pos]
         pos += 1
-        if value not in (0, 1):
-            raise TraceFormatError(f"invalid fingerprint start value {value}")
+        if start not in (0, 1):
+            raise TraceFormatError(f"invalid fingerprint start value {start}")
         n_runs, pos = read_uvarint(buf, pos)
-        flat = np.empty(size, dtype=np.int8)
-        offset = 0
+        runs = []
         for _ in range(n_runs):
             run, pos = read_uvarint(buf, pos)
-            if offset + run > size:
-                raise TraceFormatError("fingerprint runs overflow the tensor")
-            flat[offset : offset + run] = value
-            offset += run
-            value ^= 1
-        if offset != size:
+            runs.append(run)
+        # Coverage is checked before anything is allocated: the shape
+        # alone can ask for any size.
+        covered = sum(runs)
+        if covered > size:
+            raise TraceFormatError("fingerprint runs overflow the tensor")
+        if covered != size:
             raise TraceFormatError(
-                f"fingerprint runs cover {offset} of {size} samples"
+                f"fingerprint runs cover {covered} of {size} samples"
             )
-        return FingerprintCapture(label, capture_seed, flat.reshape(rows, cols)), pos
+        values = ((start + np.arange(n_runs)) & 1).astype(np.int8)
+        trace = np.repeat(values, runs).reshape(rows, cols)
+        return FingerprintCapture(label, capture_seed, trace), pos
 
 
 class _OracleCodec:
@@ -472,6 +497,118 @@ _CODECS = {
 
 
 # ----------------------------------------------------------------------
+# Framing: the one parser of headers, chunks and record directories,
+# shared by the object reader, the columnar reader and the record count
+# ----------------------------------------------------------------------
+class _FallbackNeeded(Exception):
+    """A varint holds a value past int64; the vectorised decoders hand
+    such traces to the object reader."""
+
+
+def _decode_varint_stream(body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode every LEB128 varint in ``body`` (uint8) in one pass.
+
+    Returns ``(values, starts)`` — the decoded values as int64 and each
+    varint's byte offset.  Raises :class:`_FallbackNeeded` when any
+    varint exceeds the int64 fast path and :class:`TraceFormatError` on
+    a truncated tail.
+    """
+    if body.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    ends = np.flatnonzero(body < 0x80)
+    if ends.size == 0 or ends[-1] != body.size - 1:
+        raise TraceFormatError("truncated varint")
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    max_len = int(lengths.max())
+    if max_len > _MAX_FAST_VARINT_BYTES:
+        raise _FallbackNeeded
+    # Gather lane by lane from the uint8 body: only the (shrinking) set
+    # of varints long enough for each lane pays the int64 widening, so
+    # the body is never materialised as int64 wholesale.
+    values = (body[starts] & 0x7F).astype(np.int64)
+    for k in range(1, max_len):
+        longer = np.flatnonzero(lengths > k)
+        lane = body[starts[longer] + k] & 0x7F
+        values[longer] |= lane.astype(np.int64) << (7 * k)
+    return values, starts
+
+
+def _read_frames(stream: BinaryIO) -> tuple[str, Iterator[bytes]]:
+    """Validate a trace file's header; return its species and an
+    iterator over its CRC-checked chunk payloads."""
+    header = stream.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise TraceFormatError("truncated trace header")
+    magic, version, species_code, _ = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
+    if version != FORMAT_VERSION:
+        raise TraceFormatError(
+            f"unsupported trace format version {version} "
+            f"(this reader speaks {FORMAT_VERSION})"
+        )
+    species = _SPECIES_NAMES.get(species_code)
+    if species is None:
+        raise TraceFormatError(f"unknown species code {species_code}")
+
+    def chunks() -> Iterator[bytes]:
+        while True:
+            chunk_header = stream.read(_CHUNK_HEADER.size)
+            if not chunk_header:
+                return
+            if len(chunk_header) != _CHUNK_HEADER.size:
+                raise TraceFormatError("truncated chunk header")
+            length, crc = _CHUNK_HEADER.unpack(chunk_header)
+            raw = stream.read(length)
+            if len(raw) != length:
+                raise TraceFormatError("truncated chunk payload")
+            if zlib.crc32(raw) != crc:
+                raise TraceFormatError("chunk CRC mismatch: trace file is corrupted")
+            yield raw
+
+    return species, chunks()
+
+
+def _read_chunk_prefix(raw: bytes, strings: _StringTable) -> tuple[np.ndarray, int]:
+    """Parse one chunk's string prelude, record count and directory.
+
+    Returns ``(entries, base)``: one int64 directory entry per record,
+    ``(byte_len << 2) | flags``, and the offset of the first record.
+    The entries' byte lengths are checked to tile the records block
+    exactly, so a reader that follows them stays inside the chunk.
+    """
+    buf = memoryview(raw)
+    pos = strings.read_prelude(buf, 0)
+    n_records, pos = read_uvarint(buf, pos)
+    dir_nbytes, pos = read_uvarint(buf, pos)
+    if pos + dir_nbytes > len(buf):
+        raise TraceFormatError("truncated record directory")
+    dir_bytes = np.frombuffer(raw, dtype=np.uint8, offset=pos, count=dir_nbytes)
+    try:
+        entries, _ = _decode_varint_stream(dir_bytes)
+    except _FallbackNeeded:
+        raise TraceFormatError("oversized record directory entry") from None
+    if entries.shape[0] != n_records:
+        raise TraceFormatError(
+            f"record directory holds {entries.shape[0]} entries "
+            f"for {n_records} records"
+        )
+    base = pos + dir_nbytes
+    remaining = len(raw) - base
+    lengths = entries >> 2
+    # Bounding each length first keeps the uint64 sum exact: a chunk
+    # holds fewer than 2**32 records of fewer than 2**32 bytes each.
+    if (lengths > remaining).any() or int(lengths.sum(dtype=np.uint64)) != remaining:
+        raise TraceFormatError(
+            f"record directory does not tile the {remaining} record bytes"
+        )
+    return entries, base
+
+
+# ----------------------------------------------------------------------
 # Streaming writer / reader
 # ----------------------------------------------------------------------
 @dataclass
@@ -497,24 +634,20 @@ class TraceWriter:
         stream: BinaryIO,
         species: str,
         chunk_records: int = DEFAULT_CHUNK_RECORDS,
-        version: int = FORMAT_VERSION,
     ) -> None:
         if species not in _SPECIES_CODES:
             raise ValueError(f"unknown trace species {species!r}")
         if chunk_records < 1:
             raise ValueError("chunk_records must be >= 1")
-        if version not in SUPPORTED_VERSIONS:
-            raise ValueError(f"unsupported trace format version {version}")
         self.species = species
         self.chunk_records = chunk_records
-        self.version = version
         self._stream = stream
         self._strings = _StringTable()
         self._codec = _CODECS[species](self._strings)
         self._buffer: list[TraceRecord] = []
         self._closed = False
         self.summary = TraceSummary(species=species)
-        header = _HEADER.pack(MAGIC, version, _SPECIES_CODES[species], 0)
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, _SPECIES_CODES[species], 0)
         self._stream.write(header)
         self.summary.size_bytes = len(header)
 
@@ -543,14 +676,13 @@ class TraceWriter:
             self._codec.encode(records_block, record)
             lengths.append(len(records_block) - before)
             flags.append(self._codec.flags(record))
+        directory = bytearray()
+        for length, flag in zip(lengths, flags):
+            write_uvarint(directory, (length << 2) | flag)
         body = bytearray()
         write_uvarint(body, len(self._buffer))
-        if self.version >= 2:
-            directory = bytearray()
-            for length, flag in zip(lengths, flags):
-                write_uvarint(directory, (length << 2) | flag)
-            write_uvarint(body, len(directory))
-            body.extend(directory)
+        write_uvarint(body, len(directory))
+        body.extend(directory)
         body.extend(records_block)
         # String-table prelude goes first, but interning happens during
         # record encoding — so build the body first, then the prelude.
@@ -586,67 +718,37 @@ class TraceReader:
 
     Each chunk's CRC is checked before decoding, so a flipped byte
     anywhere in the file raises :class:`TraceFormatError` instead of
-    yielding silently wrong records.
+    yielding silently wrong records.  Every record must fill exactly the
+    bytes its directory entry gives it and carry the taint flags the
+    entry records.
     """
 
     def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
-        header = stream.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise TraceFormatError("truncated trace header")
-        magic, version, species_code, _ = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise TraceFormatError(f"bad magic {magic!r}: not a trace file")
-        if version not in SUPPORTED_VERSIONS:
-            raise TraceFormatError(
-                f"unsupported trace format version {version} "
-                f"(this reader speaks {SUPPORTED_VERSIONS})"
-            )
-        species = _SPECIES_NAMES.get(species_code)
-        if species is None:
-            raise TraceFormatError(f"unknown species code {species_code}")
-        self.species = species
-        self.version = version
+        self.species, self._chunks = _read_frames(stream)
         self._strings = _StringTable()
-        self._codec = _CODECS[species](self._strings)
+        self._codec = _CODECS[self.species](self._strings)
         self._consumed = False
 
     def __iter__(self) -> Iterator[TraceRecord]:
         if self._consumed:
             raise ValueError("trace readers are single-pass; reopen the file")
         self._consumed = True
-        while True:
-            chunk_header = self._stream.read(_CHUNK_HEADER.size)
-            if not chunk_header:
-                return
-            if len(chunk_header) != _CHUNK_HEADER.size:
-                raise TraceFormatError("truncated chunk header")
-            length, crc = _CHUNK_HEADER.unpack(chunk_header)
-            raw = self._stream.read(length)
-            if len(raw) != length:
-                raise TraceFormatError("truncated chunk payload")
-            if zlib.crc32(raw) != crc:
-                raise TraceFormatError(
-                    "chunk CRC mismatch: trace file is corrupted"
-                )
+        for raw in self._chunks:
+            entries, pos = _read_chunk_prefix(raw, self._strings)
             buf = memoryview(raw)
-            pos = self._strings.read_prelude(buf, 0)
-            n_records, pos = read_uvarint(buf, pos)
-            if self.version >= 2:
-                # The record directory serves the columnar reader; the
-                # object path decodes records sequentially and skips it.
-                dir_nbytes, pos = read_uvarint(buf, pos)
-                if pos + dir_nbytes > len(buf):
-                    raise TraceFormatError("truncated record directory")
-                pos += dir_nbytes
             self._codec.begin_chunk()
-            for _ in range(n_records):
-                record, pos = self._codec.decode(buf, pos)
+            for entry in entries.tolist():
+                end = pos + (entry >> 2)
+                record, pos = self._codec.decode(buf[:end], pos)
+                if pos != end:
+                    raise TraceFormatError(
+                        "record length disagrees with the record directory"
+                    )
+                if self._codec.flags(record) != entry & 0b11:
+                    raise TraceFormatError(
+                        "taint flags disagree with the record directory"
+                    )
                 yield record
-            if pos != len(buf):
-                raise TraceFormatError(
-                    f"{len(buf) - pos} trailing bytes in chunk"
-                )
 
 
 # ----------------------------------------------------------------------
@@ -676,40 +778,17 @@ def read_trace(path) -> list[TraceRecord]:
     return list(iter_trace(path))
 
 
-def trace_species(path) -> str:
-    """Peek at a file's species without decoding any records."""
-    with open(path, "rb") as handle:
-        return TraceReader(handle).species
-
-
 def count_trace_records(path) -> int:
-    """Count records from chunk headers alone, without decoding them.
+    """Count records from the record directories, without decoding them.
 
-    Each chunk's CRC is still verified and its record-count varint read,
-    so a corrupted file raises exactly as full decoding would — but the
-    cost is one CRC pass over the bytes, not one decode per record.
+    Framing, CRCs and directories are validated exactly as full decoding
+    validates them, but the cost is one CRC pass over the bytes, not one
+    decode per record.
     """
     with open(path, "rb") as handle:
-        reader = TraceReader(handle)  # validates magic/version/species
-        total = 0
-        while True:
-            chunk_header = handle.read(_CHUNK_HEADER.size)
-            if not chunk_header:
-                return total
-            if len(chunk_header) != _CHUNK_HEADER.size:
-                raise TraceFormatError("truncated chunk header")
-            length, crc = _CHUNK_HEADER.unpack(chunk_header)
-            raw = handle.read(length)
-            if len(raw) != length:
-                raise TraceFormatError("truncated chunk payload")
-            if zlib.crc32(raw) != crc:
-                raise TraceFormatError(
-                    "chunk CRC mismatch: trace file is corrupted"
-                )
-            buf = memoryview(raw)
-            pos = reader._strings.read_prelude(buf, 0)
-            n_records, _ = read_uvarint(buf, pos)
-            total += n_records
+        _, chunks = _read_frames(handle)
+        strings = _StringTable()
+        return sum(len(_read_chunk_prefix(raw, strings)[0]) for raw in chunks)
 
 
 def serialize_records(

@@ -338,7 +338,7 @@ class TraceStore:
         return columns
 
     def count_records(self, trace_id: str) -> int:
-        """Record count from chunk headers alone (CRC-checked, no
+        """Record count from the record directories (CRC-checked, no
         per-record decode) — what ``verify`` uses to cross-check the
         sidecar's ``n_records``."""
         self.get(trace_id)  # surface KeyError for unknown ids

@@ -1,6 +1,9 @@
 """Property and unit tests for the binary trace serialization."""
 
 import io
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +20,12 @@ from repro.traces import (
     TraceReader,
     TraceWriter,
     deserialize_records,
+    read_trace_columns,
     serialize_records,
 )
 from repro.traces.format import (
     _HEADER,
+    MAX_TAINT_BITS,
     read_svarint,
     read_uvarint,
     write_svarint,
@@ -214,6 +219,11 @@ class TestCorruption:
         blob[offset] ^= 1 << bit
         with pytest.raises(TraceFormatError):
             deserialize_records(bytes(blob))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "t.trc"
+            path.write_bytes(bytes(blob))
+            with pytest.raises(TraceFormatError):
+                read_trace_columns(path)
 
     def test_bad_magic(self):
         blob = bytearray(self._blob())
@@ -222,10 +232,12 @@ class TestCorruption:
             deserialize_records(bytes(blob))
 
     def test_unsupported_version(self):
-        blob = bytearray(self._blob())
-        blob[4] ^= 0xFF
-        with pytest.raises(TraceFormatError, match="version"):
-            deserialize_records(bytes(blob))
+        # Version 1 (no record directory) is no longer read either.
+        for version in (2 ^ 0xFF, 1):
+            blob = bytearray(self._blob())
+            struct.pack_into("<H", blob, 4, version)
+            with pytest.raises(TraceFormatError, match="unsupported trace format version"):
+                deserialize_records(bytes(blob))
 
     def test_truncated_file(self):
         blob = self._blob()
@@ -235,6 +247,11 @@ class TestCorruption:
     def test_unknown_species_rejected_at_write(self):
         with pytest.raises(ValueError, match="species"):
             serialize_records("quantum", [])
+
+    def test_writer_rejects_taint_past_cap(self):
+        record = MemoryAccess(seq=1, addr_taint=BitTaint.byte(0, lo_bit=MAX_TAINT_BITS - 4))
+        with pytest.raises(ValueError, match="past bit"):
+            serialize_records(SPECIES_MEMORY, [record])
 
     def test_reader_is_single_pass(self):
         reader = TraceReader(io.BytesIO(self._blob()))
