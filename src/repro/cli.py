@@ -501,7 +501,7 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
     """One-shot distributed run: scheduler + N local worker processes."""
     from repro.campaign import SpecMismatchError
     from repro.campaign.spec import CampaignSpec
-    from repro.cluster import parse_endpoint, run_cluster
+    from repro.cluster import FleetExitedError, parse_endpoint, run_cluster
 
     spec = CampaignSpec.from_json_file(args.spec)
     out = args.out or f"runs/{spec.name}"
@@ -535,7 +535,7 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
     except SpecMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TimeoutError as exc:
+    except (TimeoutError, FleetExitedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     counts = outcome["counts"]
@@ -550,7 +550,7 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
 def cmd_cluster_worker(args: argparse.Namespace) -> int:
     """Run one worker process against a scheduler (spawned by
     ``cluster run``, or started by hand against ``cluster serve``)."""
-    from repro.cluster import ClusterWorker, parse_endpoint
+    from repro.cluster import ClusterWorker, ProtocolError, parse_endpoint
 
     worker = ClusterWorker(
         parse_endpoint(args.connect),
@@ -562,6 +562,9 @@ def cmd_cluster_worker(args: argparse.Namespace) -> int:
         worker.run()
     except (ConnectionRefusedError, FileNotFoundError) as exc:
         print(f"error: cannot reach scheduler: {exc}", file=sys.stderr)
+        return 2
+    except ProtocolError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -33,6 +33,7 @@ from repro.cluster.scheduler import (
     WorkerInfo,
 )
 from repro.cluster.service import (
+    FleetExitedError,
     SchedulerServer,
     control_request,
     run_cluster,
@@ -52,6 +53,7 @@ __all__ = [
     "CampaignExec",
     "ClusterScheduler",
     "WorkerInfo",
+    "FleetExitedError",
     "SchedulerServer",
     "control_request",
     "run_cluster",

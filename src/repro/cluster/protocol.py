@@ -2,15 +2,22 @@
 
 One message per line, each a JSON object with a ``type`` field.  The
 worker side is strictly request/response for flow control — a worker
-sends ``lease`` and reads exactly one of ``job`` / ``idle`` / ``drain``
-back — while ``heartbeat``, ``result`` and ``goodbye`` are one-way
-(the scheduler never replies to them, so a single reader loop on each
-side suffices and messages can never interleave).
+sends ``lease`` and reads exactly one of ``job`` / ``drain`` back —
+while ``heartbeat``, ``result`` and ``goodbye`` are one-way (the
+scheduler never replies to them, so a single reader loop on each side
+suffices and messages can never interleave).
+
+A ``lease`` the scheduler cannot serve yet is *parked*, not refused:
+the reply is withheld until a job becomes eligible (a submit, a
+requeue, a retry backoff expiring) or the fleet drains, so an idle
+worker simply blocks on its read and nothing polls.  The scheduler
+keeps reading the parked worker's heartbeats and ``goodbye`` meanwhile.
 
 Worker → scheduler::
 
-    register   {worker_id, pid, protocol}
-    lease      {worker_id}                     -> job | idle | drain
+    register   {worker_id, pid, protocol}      -> registered | error
+    lease      {worker_id}                     -> job | drain (parked
+                                                  until one applies)
     heartbeat  {worker_id}                     (one-way)
     result     {worker_id, campaign_id, lease_id, job_id, status,
                 duration, metrics?, error?, timeout_enforced?,
@@ -22,16 +29,23 @@ Scheduler → worker::
     registered {heartbeat_seconds, lease_seconds}
     job        {campaign_id, lease_id, job_id, payload, final,
                 store_root, trial, trace?}
-    idle       {retry_after}
     drain      {}
+
+``register`` carries :data:`PROTOCOL_VERSION`; a scheduler speaking a
+different version replies ``error`` naming both and closes the
+connection.  Version 2 dropped version 1's ``idle {retry_after}``
+lease reply in favour of parking.
 
 The optional ``trace`` field is the campaign's observability trace
 context, ``{trace: <trace_id>, parent: <scheduler campaign span id>}``
 (:func:`repro.obs.tracectx.wire_context`).  A worker adopts it for the
 duration of the leased job — so the job's spans join the scheduler's
 span tree — and echoes it verbatim on the ``result``.  It is absent
-when the scheduler runs without observability, keeping those messages
-byte-identical to protocol version 1 without it.
+when the scheduler runs without observability.
+
+TCP connections set ``TCP_NODELAY``: a worker writes ``result`` and
+``lease`` back to back, and Nagle's algorithm would otherwise hold the
+``lease`` until the scheduler's delayed ACK fires.
 
 Control client → scheduler (the ``repro cluster submit|status|cancel``
 commands use the same stream)::
@@ -54,7 +68,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # A line larger than this is a protocol violation, not a big job — the
 # largest legitimate message is a result with a metrics dict.
@@ -69,7 +83,6 @@ MSG_GOODBYE = "goodbye"
 # scheduler -> worker
 MSG_REGISTERED = "registered"
 MSG_JOB = "job"
-MSG_IDLE = "idle"
 MSG_DRAIN = "drain"
 # control plane
 MSG_SUBMIT = "submit"
@@ -143,6 +156,7 @@ class Endpoint:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=timeout
             )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         return sock
 

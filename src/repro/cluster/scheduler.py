@@ -326,17 +326,16 @@ class ClusterScheduler:
             return self._job_message(exec_, lease)
         return None
 
-    def idle_retry_after(self) -> float:
-        """How long an idle worker should wait before re-asking."""
+    def next_eligible_in(self) -> Optional[float]:
+        """Seconds until the soonest retry backoff among running
+        campaigns expires (``None`` when nothing is pending) — when a
+        parked lease request can next be served."""
         waits = [
             exec_.queue.next_eligible_in()
             for exec_ in self.campaigns.values()
             if exec_.state == STATE_RUNNING
         ]
-        waits = [w for w in waits if w is not None]
-        if not waits:
-            return 0.2
-        return min(0.2, max(0.02, min(waits)))
+        return min((w for w in waits if w is not None), default=None)
 
     def _job_message(self, exec_: CampaignExec, lease: Lease) -> dict:
         queued = lease.queued
@@ -492,13 +491,16 @@ class ClusterScheduler:
             f"attempts: {error}"
         )
 
-    def tick(self) -> None:
+    def tick(self) -> int:
         """Periodic housekeeping: expire overdue leases (heartbeat
-        loss ⇒ crash recovery) and finalize drained campaigns."""
+        loss ⇒ crash recovery) and finalize drained campaigns.  Returns
+        how many leases expired."""
+        expired = 0
         for exec_ in list(self.campaigns.values()):
             if exec_.state != STATE_RUNNING:
                 continue
             for lease in exec_.queue.expire():
+                expired += 1
                 obs.counter_add("cluster.leases_expired")
                 self._charge_crash(
                     exec_,
@@ -508,6 +510,7 @@ class ClusterScheduler:
                 )
             if exec_.queue.drained():
                 self._finalize(exec_)
+        return expired
 
     # -- introspection ---------------------------------------------------
     def status_payload(self) -> dict:

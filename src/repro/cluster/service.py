@@ -4,18 +4,25 @@ Three entry points, all thin shells over
 :class:`repro.cluster.scheduler.ClusterScheduler`:
 
 - :class:`SchedulerServer` — an asyncio JSON-lines server speaking
-  :mod:`repro.cluster.protocol` on TCP or a Unix socket, with a reaper
-  task driving ``scheduler.tick()`` (lease expiry, finalize).
+  :mod:`repro.cluster.protocol` on TCP or a Unix socket.  It is
+  event-driven: a ``lease`` nothing can serve yet is parked, and every
+  event that can change the answer (submit, result, disconnect, cancel,
+  shutdown, a lease expiring, a retry backoff running out) re-runs
+  :meth:`SchedulerServer.dispatch`, which hands parked workers their
+  ``job`` or ``drain``.  The only timers are the backoff wake-up and
+  the reaper task driving ``scheduler.tick()`` (lease expiry — crash
+  recovery, off the critical path).
 - :func:`run_cluster` — the one-shot ``repro cluster run`` front end:
-  submit one campaign, spawn N local worker subprocesses, serve until
-  drained, reap the workers.  ``drill_kill_worker`` SIGKILLs the first
-  worker after N results land — the crash-recovery drill the CI smoke
-  and the integration tests run.
+  submit one campaign, spawn N local worker subprocesses, wait until
+  the campaign finalizes (or every worker has exited, or the deadline
+  passes), reap the workers.  ``drill_kill_worker`` SIGKILLs the first
+  worker right after the Nth result — the crash-recovery drill the CI
+  smoke and the integration tests run.
 - :func:`control_request` — the synchronous client the
   ``submit``/``status``/``cancel``/``shutdown`` commands use.
 
 Service mode (``repro cluster serve``) is the same server with
-``serve_forever=True``: idle workers are parked instead of drained, so
+``serve_forever=True``: idle workers stay parked instead of drained, so
 campaigns submitted later drain through the already-connected fleet.
 """
 
@@ -26,7 +33,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from typing import Callable, Optional
 
 from repro import obs
@@ -34,6 +40,11 @@ from repro.campaign.spec import CampaignSpec
 from repro.cluster import protocol
 from repro.cluster.protocol import Endpoint, MessageStream, ProtocolError
 from repro.cluster.scheduler import ClusterScheduler
+
+
+class FleetExitedError(RuntimeError):
+    """Every worker of a one-shot run exited while its campaign was
+    still running, so nothing is left to finish it."""
 
 
 class SchedulerServer:
@@ -44,9 +55,10 @@ class SchedulerServer:
         endpoint: where to listen; for TCP, port ``0`` picks an
             ephemeral port (read the bound one from ``self.endpoint``
             after :meth:`start`).
-        serve_forever: service mode — park idle workers instead of
-            draining them when no campaign is active.
+        serve_forever: service mode — keep idle workers parked instead
+            of draining them when no campaign is active.
         tick_interval: reaper cadence (lease expiry, finalize).
+        on_result: called after each worker ``result`` is applied.
     """
 
     def __init__(
@@ -55,14 +67,26 @@ class SchedulerServer:
         endpoint: Endpoint,
         serve_forever: bool = False,
         tick_interval: float = 0.1,
+        on_result: Optional[Callable[[], None]] = None,
     ) -> None:
         self.scheduler = scheduler
         self.endpoint = endpoint
         self.serve_forever = serve_forever
         self.tick_interval = tick_interval
+        self._on_result = on_result
         self._server: Optional[asyncio.AbstractServer] = None
         self._reaper: Optional[asyncio.Task] = None
-        self._shutdown = asyncio.Event()
+        self._shutdown_requested = False
+        # Set once no campaign is running and the fleet is told to
+        # drain: at once in one-shot mode, after ``shutdown`` in
+        # service mode.
+        self.draining = asyncio.Event()
+        # Parked lease requests, oldest first: worker_id -> writer.
+        self._parked: dict[str, asyncio.StreamWriter] = {}
+        self._wakeup: Optional[asyncio.TimerHandle] = None
+        # Open connections and the tasks serving them, so stop() can
+        # close them and let every handler finish.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -80,35 +104,78 @@ class SchedulerServer:
             host, port = self._server.sockets[0].getsockname()[:2]
             self.endpoint = Endpoint(kind="tcp", host=host, port=port)
         self._reaper = asyncio.ensure_future(self._reap_loop())
+        self.dispatch()
         obs.log("info", "cluster scheduler listening", endpoint=str(self.endpoint))
 
     async def stop(self) -> None:
-        """Stop accepting, cancel the reaper, drop the socket file."""
+        """Stop accepting, close open connections and wait for their
+        handlers, cancel the reaper, drop the socket file."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        handlers = list(self._connections.values())
+        for writer in self._connections:
+            writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
         if self._reaper is not None:
             self._reaper.cancel()
             try:
                 await self._reaper
             except asyncio.CancelledError:
                 pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        if self._wakeup is not None:
+            self._wakeup.cancel()
         if self.endpoint.kind == "unix":
             try:
                 os.unlink(self.endpoint.path)
             except OSError:
                 pass
 
+    def request_shutdown(self) -> None:
+        """Stop once every campaign has drained (``shutdown``, SIGTERM)."""
+        self._shutdown_requested = True
+        self.dispatch()
+
     async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` control message arrives and every
-        campaign has finished draining."""
-        while not (self._shutdown.is_set() and not self.scheduler.active()):
-            await asyncio.sleep(self.tick_interval)
+        """Block until a shutdown is requested and every campaign has
+        finished draining."""
+        await self.draining.wait()
 
     async def _reap_loop(self) -> None:
         while True:
-            self.scheduler.tick()
+            if self.scheduler.tick():
+                self.dispatch()
             await asyncio.sleep(self.tick_interval)
+
+    # -- the lease plane -------------------------------------------------
+    def dispatch(self) -> None:
+        """Answer every parked lease request scheduler state now
+        allows: ``job`` while eligible work lasts, ``drain`` to all once
+        the fleet is done; otherwise wake up when the soonest retry
+        backoff expires."""
+        for worker_id in list(self._parked):
+            job = self.scheduler.request_lease(worker_id)
+            if job is None:
+                break
+            self._parked.pop(worker_id).write(
+                protocol.encode_message({"type": protocol.MSG_JOB, **job})
+            )
+        if not self.scheduler.active() and (
+            self._shutdown_requested or not self.serve_forever
+        ):
+            drain = protocol.encode_message({"type": protocol.MSG_DRAIN})
+            for writer in self._parked.values():
+                writer.write(drain)
+            self._parked.clear()
+            self.draining.set()
+        if self._wakeup is not None:
+            self._wakeup.cancel()
+            self._wakeup = None
+        delay = self.scheduler.next_eligible_in() if self._parked else None
+        if delay is not None:
+            self._wakeup = asyncio.get_running_loop().call_later(
+                delay, self.dispatch
+            )
 
     # -- connection handling --------------------------------------------
     async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
@@ -118,6 +185,7 @@ class SchedulerServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections[writer] = asyncio.current_task()
         worker_id: Optional[str] = None
         try:
             while True:
@@ -127,6 +195,20 @@ class SchedulerServer:
                 message = protocol.decode_message(line.rstrip(b"\n"))
                 kind = message["type"]
                 if kind == protocol.MSG_REGISTER:
+                    version = message.get("protocol")
+                    if version != protocol.PROTOCOL_VERSION:
+                        await self._send(
+                            writer,
+                            {
+                                "type": protocol.MSG_ERROR,
+                                "error": (
+                                    f"protocol version mismatch: worker "
+                                    f"speaks {version!r}, scheduler "
+                                    f"speaks {protocol.PROTOCOL_VERSION}"
+                                ),
+                            },
+                        )
+                        break
                     worker_id = str(message["worker_id"])
                     body = self.scheduler.register_worker(
                         worker_id, pid=int(message.get("pid", 0))
@@ -135,13 +217,18 @@ class SchedulerServer:
                         writer, {"type": protocol.MSG_REGISTERED, **body}
                     )
                 elif kind == protocol.MSG_LEASE:
-                    await self._handle_lease(writer, message)
+                    obs.counter_add("cluster.lease_requests")
+                    self._parked[str(message["worker_id"])] = writer
+                    self.dispatch()
                 elif kind == protocol.MSG_HEARTBEAT:
                     self.scheduler.heartbeat(str(message["worker_id"]))
                 elif kind == protocol.MSG_RESULT:
                     self.scheduler.handle_result(
                         str(message["worker_id"]), message
                     )
+                    if self._on_result is not None:
+                        self._on_result()
+                    self.dispatch()
                 elif kind == protocol.MSG_GOODBYE:
                     break
                 elif kind == protocol.MSG_SUBMIT:
@@ -158,6 +245,7 @@ class SchedulerServer:
                     ok = self.scheduler.cancel(
                         str(message.get("campaign_id", ""))
                     )
+                    self.dispatch()
                     await self._send(
                         writer,
                         {"type": protocol.MSG_OK}
@@ -171,49 +259,30 @@ class SchedulerServer:
                         },
                     )
                 elif kind == protocol.MSG_SHUTDOWN:
-                    self._shutdown.set()
+                    self.request_shutdown()
                     await self._send(writer, {"type": protocol.MSG_OK})
                 else:
                     raise ProtocolError(f"unknown message type {kind!r}")
-        except (
-            ProtocolError,
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
+        except (ProtocolError, OSError, asyncio.IncompleteReadError):
             pass
         finally:
+            # Nothing may be written to a closed connection.
+            self._parked = {
+                w: parked
+                for w, parked in self._parked.items()
+                if parked is not writer
+            }
             if worker_id is not None:
                 # EOF from a registered worker: clean goodbye or death,
                 # either way its leases must not stay checked out.
                 self.scheduler.disconnect_worker(worker_id)
+                self.dispatch()
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (OSError, ConnectionResetError):
+            except OSError:
                 pass
-
-    async def _handle_lease(
-        self, writer: asyncio.StreamWriter, message: dict
-    ) -> None:
-        worker_id = str(message["worker_id"])
-        job = self.scheduler.request_lease(worker_id)
-        if job is not None:
-            await self._send(writer, {"type": protocol.MSG_JOB, **job})
-            return
-        draining = self._shutdown.is_set() or (
-            not self.serve_forever and not self.scheduler.active()
-        )
-        if draining and not self.scheduler.active():
-            await self._send(writer, {"type": protocol.MSG_DRAIN})
-            return
-        await self._send(
-            writer,
-            {
-                "type": protocol.MSG_IDLE,
-                "retry_after": self.scheduler.idle_retry_after(),
-            },
-        )
+            del self._connections[writer]
 
     async def _handle_submit(
         self, writer: asyncio.StreamWriter, message: dict
@@ -234,6 +303,7 @@ class SchedulerServer:
                 },
             )
             return
+        self.dispatch()
         await self._send(
             writer, {"type": protocol.MSG_OK, "campaign_id": campaign_id}
         )
@@ -308,12 +378,15 @@ def run_cluster(
 ) -> dict:
     """Run one campaign on a local fleet of worker subprocesses.
 
-    Blocks until the campaign finalizes (or the deadline passes),
-    reaps the workers, and returns the outcome counts.
+    Blocks until the campaign finalizes, reaps the workers, and
+    returns the outcome counts.  Raises :class:`TimeoutError` when the
+    deadline passes first, and :class:`FleetExitedError` (naming the
+    exit codes) as soon as every worker has exited with the campaign
+    still running.
 
-    ``drill_kill_worker=N`` SIGKILLs the first worker after N jobs have
-    completed — the lease/disconnect recovery drill.  ``obs_shards``
-    points each worker's obs sink at
+    ``drill_kill_worker=N`` SIGKILLs the first worker right after the
+    Nth job completes — the lease/disconnect recovery drill.
+    ``obs_shards`` points each worker's obs sink at
     ``<store>/shard-<worker_id>/obs.jsonl``; ``obs_sink`` instead gives
     every worker the *same* sink path (one merged JSONL file — fine for
     smoke-scale fleets, where one-line appends don't interleave), which
@@ -327,59 +400,74 @@ def run_cluster(
         on_event=on_event,
     )
     campaign_id = scheduler.submit(spec, store_root, resume=resume)
+    exec_ = scheduler.campaigns[campaign_id]
 
     async def _drive() -> dict:
+        procs: list[subprocess.Popen] = []
+        drilled = False
+
+        def drill() -> None:
+            nonlocal drilled
+            if (
+                drilled
+                or drill_kill_worker is None
+                or exec_.queue.done_count < drill_kill_worker
+                or procs[0].poll() is not None
+            ):
+                return
+            drilled = True
+            procs[0].kill()
+            obs.counter_add("cluster.drill_kills")
+            if on_event is not None:
+                on_event(
+                    f"drill: SIGKILLed worker w0 after "
+                    f"{exec_.queue.done_count} results"
+                )
+
         server = SchedulerServer(
             scheduler,
             endpoint or Endpoint(kind="tcp", host="127.0.0.1", port=0),
+            on_result=drill,
         )
         await server.start()
-        procs: list[subprocess.Popen] = []
+        draining = asyncio.ensure_future(server.draining.wait())
         try:
             for index in range(max(1, workers)):
                 worker_id = f"w{index}"
                 sink = obs_sink
                 if obs_shards:
-                    shard_root = (
-                        scheduler.campaigns[campaign_id]
-                        .store.shard_store(worker_id)
-                        .root
-                    )
+                    shard_root = exec_.store.shard_store(worker_id).root
                     shard_root.mkdir(parents=True, exist_ok=True)
                     sink = str(shard_root / "obs.jsonl")
                 procs.append(
                     spawn_worker(server.endpoint, worker_id, obs_sink=sink)
                 )
-            deadline = time.monotonic() + deadline_seconds
-            killed_drill = False
-            exec_ = scheduler.campaigns[campaign_id]
-            while scheduler.active():
-                if (
-                    drill_kill_worker is not None
-                    and not killed_drill
-                    and exec_.queue.done_count >= drill_kill_worker
-                    and procs[0].poll() is None
-                ):
-                    procs[0].kill()
-                    killed_drill = True
-                    obs.counter_add("cluster.drill_kills")
-                    if on_event is not None:
-                        on_event(
-                            f"drill: SIGKILLed worker w0 after "
-                            f"{exec_.queue.done_count} results"
-                        )
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"cluster run exceeded {deadline_seconds}s deadline"
-                    )
-                await asyncio.sleep(0.05)
+            loop = asyncio.get_running_loop()
+            fleet_exited = asyncio.gather(
+                *(loop.run_in_executor(None, proc.wait) for proc in procs)
+            )
+            done, _ = await asyncio.wait(
+                {draining, fleet_exited},
+                timeout=deadline_seconds,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            if not done:
+                raise TimeoutError(
+                    f"cluster run exceeded {deadline_seconds}s deadline"
+                )
+            if scheduler.active():
+                codes = ", ".join(
+                    f"w{index}={proc.returncode}"
+                    for index, proc in enumerate(procs)
+                )
+                raise FleetExitedError(
+                    f"every worker exited before {campaign_id} finished "
+                    f"(exit codes: {codes})"
+                )
             # Campaign finalized; let workers see the drain reply.
-            drain_deadline = time.monotonic() + 10.0
-            while any(p.poll() is None for p in procs):
-                if time.monotonic() > drain_deadline:
-                    break
-                await asyncio.sleep(0.05)
+            await asyncio.wait({fleet_exited}, timeout=10.0)
         finally:
+            draining.cancel()
             for proc in procs:
                 if proc.poll() is None:
                     proc.terminate()
@@ -390,7 +478,6 @@ def run_cluster(
                     proc.kill()
                     proc.wait(timeout=5.0)
             await server.stop()
-        exec_ = scheduler.campaigns[campaign_id]
         counts = dict(exec_.counts)
         counts["skipped"] = exec_.skipped
         return {
@@ -433,7 +520,7 @@ def serve(
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
-                loop.add_signal_handler(signum, server._shutdown.set)
+                loop.add_signal_handler(signum, server.request_shutdown)
             except (NotImplementedError, RuntimeError):
                 pass
         try:

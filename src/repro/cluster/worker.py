@@ -1,8 +1,11 @@
 """The cluster worker: lease, execute, record, repeat.
 
-A worker is a plain blocking client of the scheduler.  Jobs run on the
-worker's **main thread** so the per-job ``SIGALRM`` wall-clock budget
-from :func:`repro.campaign.executor.execute_payload` keeps working;
+A worker is a plain blocking client of the scheduler: it asks for a
+lease and blocks on the reply, which the scheduler holds back until a
+job is eligible or the fleet drains — so an idle worker sleeps in
+``recv`` and never polls.  Jobs run on the worker's **main thread** so
+the per-job ``SIGALRM`` wall-clock budget from
+:func:`repro.campaign.executor.execute_payload` keeps working;
 heartbeats ride a daemon thread (the
 :class:`~repro.cluster.protocol.MessageStream` send lock keeps the two
 from interleaving on the wire).
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import uuid
 from typing import Callable, Optional
 
@@ -162,6 +164,10 @@ class ClusterWorker:
                 }
             )
             ack = stream.recv()
+            if ack is not None and ack.get("type") == protocol.MSG_ERROR:
+                raise protocol.ProtocolError(
+                    f"scheduler refused registration: {ack.get('error')}"
+                )
             if ack is None or ack.get("type") != protocol.MSG_REGISTERED:
                 raise protocol.ProtocolError(
                     f"expected {protocol.MSG_REGISTERED!r}, got {ack!r}"
@@ -194,8 +200,6 @@ class ClusterWorker:
                 kind = message.get("type")
                 if kind == protocol.MSG_JOB:
                     self._run_job(stream, message)
-                elif kind == protocol.MSG_IDLE:
-                    time.sleep(float(message.get("retry_after", 0.2)))
                 elif kind == protocol.MSG_DRAIN:
                     self._emit("drained; exiting")
                     break

@@ -1,10 +1,13 @@
 """End-to-end cluster runs with real worker subprocesses.
 
-Two drills, both deadline-polled (no fixed sleeps):
+Drills, all deadline-bounded (no fixed sleeps):
 
 * the one-shot ``run_cluster`` path with a worker SIGKILLed mid-run —
   every job must still complete and the merged store must be
   digest-identical to a single-host run of the same spec;
+* the lease plane over TCP and a Unix socket — exactly one lease
+  request per attempt plus one drained request per worker (no idle
+  polling);
 * service mode — a ``cluster serve`` scheduler accepting a second
   campaign while the first drains through the same worker fleet, with
   ``cluster status`` reflecting both.
@@ -27,7 +30,7 @@ from repro.campaign import (
     metrics_digest,
 )
 from repro.campaign.spec import FaultInjection
-from repro.cluster import run_cluster
+from repro.cluster import parse_endpoint, run_cluster
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -45,7 +48,7 @@ def worker_pythonpath(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(REPO / "src"))
 
 
-def drill_spec(name="int-drill"):
+def drill_spec(name="int-drill", retry_backoff=0.0):
     # Importable by worker subprocesses, fast, with injected failures
     # so the retry plane is exercised too.
     return CampaignSpec(
@@ -54,7 +57,7 @@ def drill_spec(name="int-drill"):
         grid={"size": [30, 40, 50]},
         trials=2,
         max_retries=2,
-        retry_backoff=0.0,
+        retry_backoff=retry_backoff,
         inject_failures=FaultInjection(count=2, attempts=1),
     )
 
@@ -94,6 +97,36 @@ class TestKillDrill:
         assert metrics_digest(records) == metrics_digest(
             single_store.load_records()
         )
+
+
+class TestLeasePlane:
+    @pytest.mark.parametrize("transport", ["tcp", "unix"])
+    def test_one_lease_request_per_attempt_plus_one_drain_per_worker(
+        self, tmp_path, transport
+    ):
+        """No polling: every lease request is answered by a job or, once
+        per worker, by the final drain — a retry backoff is waited out
+        with the request parked, not re-asked."""
+        obs.enable()
+        endpoint = (
+            parse_endpoint(f"unix:{tmp_path / 'sched.sock'}")
+            if transport == "unix"
+            else None
+        )
+        result = run_cluster(
+            drill_spec(name="lease-count", retry_backoff=0.2),
+            tmp_path / "cluster",
+            workers=2,
+            endpoint=endpoint,
+            deadline_seconds=120.0,
+        )
+        assert result["state"] == "done"
+        assert result["counts"]["ok"] == 6
+        records = ResultStore(tmp_path / "cluster").load_records()
+        attempts = sum(record.attempts for record in records.values())
+        assert attempts == 6 + 2  # two injected, retried failures
+        counters = obs.counters_snapshot()
+        assert counters["cluster.lease_requests"] == attempts + 2
 
 
 def popen_repro(*argv, **kwargs):

@@ -169,6 +169,37 @@ class TestFullFlow:
         assert len(ResultStore(tmp_path / "c").load_records()) == 8
 
 
+class TestBackoffWakeup:
+    def test_next_eligible_in_tracks_the_soonest_backoff(self, tmp_path):
+        clock = FakeClock()
+        scheduler = ClusterScheduler(clock=clock)
+        spec = CampaignSpec(
+            name="backoff",
+            experiment="cluster_echo",
+            grid={"x": [1]},
+            max_retries=1,
+            retry_backoff=2.0,
+        )
+        scheduler.submit(spec, tmp_path / "backoff")
+        assert scheduler.next_eligible_in() == 0.0
+        message = scheduler.request_lease("wA")
+        assert scheduler.next_eligible_in() is None  # nothing pending
+        scheduler.handle_result(
+            "wA",
+            {
+                "campaign_id": message["campaign_id"],
+                "job_id": message["job_id"],
+                "status": "failed",
+            },
+        )
+        assert scheduler.next_eligible_in() == 2.0
+        clock.advance(1.5)
+        assert scheduler.request_lease("wA") is None
+        assert scheduler.next_eligible_in() == 0.5
+        clock.advance(0.5)
+        assert scheduler.request_lease("wA") is not None
+
+
 class TestLeaseExpiry:
     def test_expiry_of_final_attempt_writes_crashed_record(self, tmp_path):
         clock = FakeClock()
