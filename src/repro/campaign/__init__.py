@@ -12,7 +12,9 @@ ingredients, which this package provides once:
 2. :mod:`repro.campaign.runner` — a fault-tolerant parallel runner on
    ``concurrent.futures``: per-job timeouts, bounded retries with
    backoff, and worker-crash recovery that records the failure and keeps
-   the campaign going.
+   the campaign going.  The accounting lives in the one campaign engine,
+   :class:`repro.cluster.scheduler.ClusterScheduler`, which the runner
+   drives in-process.
 3. :mod:`repro.campaign.store` — one JSONL record per job plus a
    campaign manifest; append-only, so an interrupted campaign resumes by
    skipping jobs whose records already exist.
@@ -38,13 +40,8 @@ from repro.campaign.report import (
     render_report,
     render_status,
 )
-from repro.campaign.runner import (
-    CampaignResult,
-    CampaignRunner,
-    InProcessExecutor,
-    JobTimeout,
-    WorkerCrash,
-)
+from repro.campaign.executor import InProcessExecutor, JobTimeout, WorkerCrash
+from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import CampaignSpec, JobSpec, derive_seed
 from repro.campaign.store import (
     JobRecord,

@@ -1,12 +1,14 @@
 """One job attempt, executed wherever the work landed.
 
-This is the execution core shared by every way the repo runs campaign
-jobs: the single-host :class:`~repro.campaign.runner.CampaignRunner`
-ships :func:`execute_payload` into ``ProcessPoolExecutor`` workers, and
-the :mod:`repro.cluster` worker protocol calls :func:`run_attempt`
-inside remote worker processes.  Keeping it in one module is what makes
-the determinism contract cheap to state: a job's metrics are a pure
-function of ``(experiment, params, seed)``, so the same payload yields
+This is the execution core shared by both transports of the one
+campaign engine (:class:`repro.cluster.scheduler.ClusterScheduler`):
+the single-host :class:`~repro.campaign.runner.CampaignRunner` ships
+:func:`run_attempt` into ``ProcessPoolExecutor`` workers, and cluster
+workers call it inside their own processes.  Either way the store
+record of a finished attempt comes from :func:`attempt_record`.
+Keeping it in one module is what makes the determinism contract cheap
+to state: a job's metrics are a pure function of
+``(experiment, params, seed)``, so the same payload yields
 bit-identical metrics no matter which executor ran it.
 
 The payload is a plain JSON-able dict (picklable *and* wire-encodable):
@@ -35,6 +37,7 @@ from repro.campaign.store import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMEOUT,
+    JobRecord,
 )
 
 
@@ -131,14 +134,14 @@ def execute_payload(payload: dict) -> dict:
         "metrics": metrics,
         "duration": time.perf_counter() - start,
         # None: no budget requested; False: budget silently unenforceable
-        # on this platform/thread — the runner surfaces it on the record.
+        # on this platform/thread — the record and the scheduler's
+        # one-time warning surface it.
         "timeout_enforced": use_alarm if timeout is not None else None,
     }
 
 
 def classify_failure(exc: BaseException) -> tuple[str, str]:
-    """Map an attempt's exception to a ``(status, error)`` pair, the
-    same way the single-host runner's future handling does."""
+    """Map an attempt's exception to a ``(status, error)`` pair."""
     if isinstance(exc, JobTimeout):
         return STATUS_TIMEOUT, str(exc)
     if isinstance(exc, WorkerCrash):
@@ -151,9 +154,7 @@ class AttemptOutcome:
     """What one in-worker attempt produced, exception-free.
 
     ``status`` is one of the store's ``STATUS_*`` constants; ``metrics``
-    is populated only on success.  This is the cluster worker's view of
-    :func:`execute_payload` — the local runner keeps the raw exception
-    flow because its futures already carry it.
+    is populated only on success.
     """
 
     status: str
@@ -166,6 +167,16 @@ class AttemptOutcome:
     def ok(self) -> bool:
         """Whether the attempt produced usable metrics."""
         return self.status == STATUS_OK
+
+    def result_fields(self) -> dict:
+        """The outcome half of a scheduler ``result`` message (unset
+        optional fields left out)."""
+        fields = {"status": self.status, "duration": self.duration}
+        if self.error is not None:
+            fields["error"] = self.error
+        if self.timeout_enforced is not None:
+            fields["timeout_enforced"] = self.timeout_enforced
+        return fields
 
 
 def run_attempt(payload: dict) -> AttemptOutcome:
@@ -198,11 +209,29 @@ def run_attempt(payload: dict) -> AttemptOutcome:
     )
 
 
+def attempt_record(payload: dict, trial: int, outcome: AttemptOutcome) -> JobRecord:
+    """The store record of one terminal attempt (ok, or the final
+    failure) — the single place an attempt becomes a ``JobRecord``."""
+    return JobRecord(
+        job_id=payload["job_id"],
+        experiment=payload["experiment"],
+        params=payload["params"],
+        trial=trial,
+        seed=payload["seed"],
+        status=outcome.status,
+        attempts=int(payload.get("attempt", 0)) + 1,
+        duration_seconds=outcome.duration,
+        metrics=outcome.metrics,
+        error=outcome.error,
+        timeout_enforced=outcome.timeout_enforced,
+    )
+
+
 class InProcessExecutor:
     """A drop-in executor that runs submissions synchronously.
 
     Keeps tests (and debugging sessions) single-process while exercising
-    the runner's full retry/timeout/crash logic.
+    the engine's full retry/timeout/crash logic.
     """
 
     supports_crash_isolation = False

@@ -1,23 +1,31 @@
-"""Parallel, fault-tolerant campaign execution.
+"""Single-host campaign execution over a process pool.
 
 The runner turns a :class:`~repro.campaign.spec.CampaignSpec` into
-finished :class:`~repro.campaign.store.JobRecord` rows.  Its contract is
-that **one bad job never kills a campaign**:
+finished :class:`~repro.campaign.store.JobRecord` rows.  It is a thin
+transport for the one campaign engine,
+:class:`repro.cluster.scheduler.ClusterScheduler`, driven in-process:
+each ``ProcessPoolExecutor`` slot is a registered scheduler worker that
+leases a job, runs it with :func:`repro.campaign.executor.run_attempt`
+and reports the outcome back.  So the contract — **one bad job never
+kills a campaign** — is the scheduler's:
 
 - every job gets a wall-clock budget (enforced with ``SIGALRM`` inside
   the worker, so even a runaway compression loop is interrupted);
 - a failed attempt is retried up to ``spec.max_retries`` times with
   exponential backoff;
-- a worker-process *crash* (which breaks the whole
-  ``ProcessPoolExecutor``) is survived by rebuilding the pool and
-  requeueing the jobs that were in flight;
+- a worker-process *crash* breaks the whole pool; every in-flight slot
+  is charged one attempt through the scheduler's disconnect path and
+  the pool is rebuilt;
 - when retries are exhausted the failure is recorded in the store —
   with its error message — and the campaign moves on.
 
-Parallelism comes from ``concurrent.futures.ProcessPoolExecutor``; the
-``executor_factory`` argument swaps in :class:`InProcessExecutor` so the
-whole machinery (including retries, timeouts and simulated crashes) runs
-single-process and fast under test.
+What stays here is transport: the parent process appends each ok or
+final-attempt record to the main ``results.jsonl`` as it lands (so an
+interrupt leaves a resumable checkpoint), and the ``campaign.run``
+span roots the campaign's trace.  The ``executor_factory`` argument
+swaps in :class:`InProcessExecutor` so the whole machinery (including
+retries, timeouts and simulated crashes) runs single-process and fast
+under test.
 """
 
 from __future__ import annotations
@@ -27,53 +35,22 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Future,
     ProcessPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import obs
-from repro.campaign import executor as executor_mod
-from repro.campaign.executor import (
-    InjectedFailure,
-    InProcessExecutor,
-    JobTimeout,
-    WorkerCrash,
-    execute_payload,
-)
-from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.executor import attempt_record, run_attempt
+from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import ResultStore
 from repro.obs import tracectx
-from repro.campaign.store import (
-    STATUS_CRASHED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    JobRecord,
-    ResultStore,
-)
 
-__all__ = [
-    "CampaignResult",
-    "CampaignRunner",
-    "InjectedFailure",
-    "InProcessExecutor",
-    "JobTimeout",
-    "WorkerCrash",
-    "execute_payload",
-]
+if TYPE_CHECKING:
+    from repro.cluster.scheduler import CampaignExec, ClusterScheduler
 
-
-@dataclass
-class _Attempt:
-    """One scheduled execution of one job."""
-
-    job: JobSpec
-    position: int  # index in expansion order (fault-injection anchor)
-    attempt: int = 0  # 0-based
-    eligible_at: float = 0.0  # monotonic time before which we hold it back
-    submitted_at: float = 0.0
+__all__ = ["CampaignResult", "CampaignRunner"]
 
 
 @dataclass
@@ -81,14 +58,8 @@ class CampaignResult:
     """What a runner invocation did, in aggregate."""
 
     counts: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
     skipped: int = 0
     elapsed_seconds: float = 0.0
-
-    @property
-    def completed(self) -> int:
-        """Jobs that finished (any terminal status) this invocation."""
-        return len(self.records)
 
     def summary(self) -> str:
         """One-line human digest."""
@@ -136,364 +107,139 @@ class CampaignRunner:
         if self._on_event is not None:
             self._on_event(message)
 
-    # -- scheduling helpers --------------------------------------------
-    def _payload(self, attempt: _Attempt) -> dict:
-        job = attempt.job
-        payload = {
-            "job_id": job.job_id,
-            "experiment": job.experiment,
-            "params": job.params_dict(),
-            "seed": job.seed,
-            "timeout_seconds": self.spec.timeout_seconds,
-            "attempt": attempt.attempt,
-        }
-        inject = self.spec.inject_failures
-        if inject is not None and inject.applies_to(
-            job, attempt.position, attempt.attempt
-        ):
-            payload["inject_mode"] = inject.mode
-            payload["allow_hard_crash"] = getattr(
-                self._executor, "supports_crash_isolation", True
-            )
-        return payload
-
-    def _record(
-        self,
-        attempt: _Attempt,
-        status: str,
-        duration: float,
-        metrics: Optional[dict] = None,
-        error: Optional[str] = None,
-        timeout_enforced: Optional[bool] = None,
-    ) -> JobRecord:
-        job = attempt.job
-        record = JobRecord(
-            job_id=job.job_id,
-            experiment=job.experiment,
-            params=job.params_dict(),
-            trial=job.trial,
-            seed=job.seed,
-            status=status,
-            attempts=attempt.attempt + 1,
-            duration_seconds=duration,
-            metrics=metrics,
-            error=error,
-            timeout_enforced=timeout_enforced,
-        )
-        self.store.append(record)
-        return record
-
-    def _retry_or_fail(
-        self,
-        attempt: _Attempt,
-        status: str,
-        error: str,
-        pending: list,
-        result: CampaignResult,
-    ) -> None:
-        """Requeue with backoff, or persist the terminal failure."""
-        job = attempt.job
-        if attempt.attempt < self.spec.max_retries:
-            delay = self.spec.retry_backoff * (2**attempt.attempt)
-            attempt.attempt += 1
-            attempt.eligible_at = time.monotonic() + delay
-            pending.append(attempt)
-            obs.counter_add("campaign.retries")
-            obs.observe("campaign.backoff_seconds", delay)
-            self._emit(
-                f"retry {job.job_id} (attempt {attempt.attempt + 1}, "
-                f"after {delay:.2f}s): {error}"
-            )
-            return
-        # The last attempt's wall clock: submission to now.  (This used
-        # to be hard-zeroed — and the pool-rebuild path even reset
-        # submitted_at before recording — so every terminal failure
-        # reported duration_seconds=0.0.)
-        duration = (
-            time.monotonic() - attempt.submitted_at
-            if attempt.submitted_at
-            else 0.0
-        )
-        record = self._record(
-            attempt,
-            status,
-            duration,
-            error=error,
-            timeout_enforced=self._timeout_enforced_hint(),
-        )
-        result.records.append(record)
-        result.counts[status] = result.counts.get(status, 0) + 1
-        obs.counter_add(f"campaign.{status}")
-        obs.log(
-            "warning",
-            "job gave up",
-            job_id=job.job_id,
-            status=status,
-            attempts=attempt.attempt + 1,
-            error=error,
-        )
-        self._emit(f"gave up on {job.job_id} after {attempt.attempt + 1} "
-                   f"attempts: {error}")
-
-    def _timeout_enforced_hint(self) -> Optional[bool]:
-        """What to record for ``timeout_enforced`` when the attempt
-        itself could not report it (failure paths): ``False`` when a
-        budget was requested but the platform cannot enforce it, else
-        ``None`` (unknown / not applicable)."""
-        if (
-            self.spec.timeout_seconds is not None
-            and not executor_mod.alarm_supported()
-        ):
-            return False
-        return None
-
-    def _handle_outcome(
-        self,
-        attempt: _Attempt,
-        future: Future,
-        pending: list,
-        result: CampaignResult,
-    ) -> bool:
-        """Consume one finished future.  Returns True when the executor
-        broke (caller must rebuild it)."""
-        job = attempt.job
-        obs.counter_add("campaign.attempts")
-        try:
-            out = future.result()
-        except BrokenExecutor:
-            return True
-        except JobTimeout as exc:
-            self._retry_or_fail(attempt, STATUS_TIMEOUT, str(exc), pending, result)
-            return False
-        except WorkerCrash as exc:
-            self._retry_or_fail(attempt, STATUS_CRASHED, str(exc), pending, result)
-            return False
-        except Exception as exc:  # noqa: BLE001 — any job error is a job failure
-            self._retry_or_fail(
-                attempt,
-                STATUS_FAILED,
-                f"{type(exc).__name__}: {exc}",
-                pending,
-                result,
-            )
-            return False
-        enforced = out.get("timeout_enforced")
-        if enforced is False and obs.warn_once(
-            "campaign.timeout-unenforced",
-            "per-job wall-clock budgets are not enforceable here "
-            "(no SIGALRM or worker off the main thread); jobs may "
-            "overrun their budget",
-            timeout_seconds=self.spec.timeout_seconds,
-        ):
-            self._emit(
-                "warning: per-job timeout cannot be enforced on this "
-                "platform (no SIGALRM); budgets are advisory"
-            )
-        record = self._record(
-            attempt,
-            STATUS_OK,
-            out["duration"],
-            metrics=out["metrics"],
-            timeout_enforced=enforced,
-        )
-        result.records.append(record)
-        result.counts[STATUS_OK] = result.counts.get(STATUS_OK, 0) + 1
-        obs.counter_add("campaign.ok")
-        obs.observe("campaign.job_seconds", out["duration"])
-        self._emit(
-            f"ok {job.job_id} {job.params_dict()} trial={job.trial} "
-            f"({out['duration']:.2f}s, attempt {attempt.attempt + 1})"
-        )
-        return False
-
-    # -- the main loop --------------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
         """Execute every job that has no record yet; return aggregate
         counts.  With ``resume`` an existing campaign directory is
         continued instead of rejected."""
+        # Imported on first run, not with repro.campaign: the engine's
+        # dataclasses cost ~15 ms to build, which every `repro` command
+        # would otherwise pay at start-up.
+        from repro.cluster.scheduler import ClusterScheduler
+
         start = time.monotonic()
-        self.store.open_campaign(self.spec, resume=resume)
-
-        all_jobs = self.spec.jobs()
-        done_ids = self.store.completed_ids()
-        pending = [
-            _Attempt(job=job, position=position)
-            for position, job in enumerate(all_jobs)
-            if job.job_id not in done_ids
-        ]
-        result = CampaignResult(skipped=len(all_jobs) - len(pending))
-        if result.skipped:
-            self._emit(f"resume: skipping {result.skipped} recorded jobs")
-
-        # Announce the run's shape up front: `repro obs watch` reads
-        # this line to show done/total progress before any job lands.
-        obs.log(
-            "info",
-            "campaign started",
-            campaign=self.spec.name,
-            experiment=self.spec.experiment,
-            jobs=len(pending),
-            workers=self.workers,
-        )
-
-        if (
-            self.spec.timeout_seconds is not None
-            and not executor_mod.alarm_supported()
-        ):
-            if obs.warn_once(
-                "campaign.timeout-unenforced",
-                "per-job wall-clock budgets are not enforceable here "
-                "(no SIGALRM); jobs may overrun their budget",
-                timeout_seconds=self.spec.timeout_seconds,
-            ):
-                self._emit(
-                    "warning: per-job timeout cannot be enforced on this "
-                    "platform (no SIGALRM); budgets are advisory"
-                )
-
-        run_span = obs.span(
+        scheduler = ClusterScheduler(on_event=self._on_event)
+        slots = [f"slot{i}" for i in range(self.workers)]
+        for slot in slots:
+            scheduler.register_worker(slot, pid=os.getpid())
+        if obs.enabled():
+            # The campaign span and every job span join this trace.
+            tracectx.begin_trace()
+        with obs.span(
             "campaign.run",
             campaign=self.spec.name,
             experiment=self.spec.experiment,
-            jobs=len(pending),
             workers=self.workers,
-        )
-        self._executor = self._factory()
-        in_flight: dict[Future, _Attempt] = {}
-        observing = obs.enabled()
-        trace_env_set = False
-        try:
-            run_span.__enter__()
-            if observing:
-                # Pool worker processes spawn lazily at first submit,
-                # so exporting REPRO_OBS_TRACE here (trace id plus this
-                # run span as the remote parent) is early enough for
-                # every worker's spans to join this campaign's tree.
-                trace_id = tracectx.begin_trace()
-                trace_env_set = tracectx.export_to_env(
-                    trace_id, run_span.span_id
-                )
-            while pending or in_flight:
-                if observing:
-                    obs.observe(
-                        "campaign.queue_depth", len(pending) + len(in_flight)
-                    )
-                now = time.monotonic()
-                # Fill free slots with eligible attempts.
-                free = self.workers - len(in_flight)
-                submitted_any = False
-                for _ in range(free):
-                    index = next(
-                        (
-                            i
-                            for i, a in enumerate(pending)
-                            if a.eligible_at <= now
-                        ),
-                        None,
-                    )
-                    if index is None:
-                        break
-                    attempt = pending.pop(index)
-                    attempt.submitted_at = now
-                    try:
-                        future = self._executor.submit(
-                            execute_payload, self._payload(attempt)
-                        )
-                    except BrokenExecutor:
-                        # The pool was already dead; this attempt never
-                        # ran, so requeue it without charging a retry.
-                        pending.append(attempt)
-                        self._rebuild(in_flight, pending, result)
-                        break
-                    in_flight[future] = attempt
-                    submitted_any = True
-
-                if not in_flight:
-                    if pending and not submitted_any:
-                        soonest = min(a.eligible_at for a in pending)
-                        time.sleep(max(0.0, min(soonest - now, 0.2)))
-                    continue
-
-                finished, _ = wait(
-                    set(in_flight), timeout=0.2, return_when=FIRST_COMPLETED
-                )
-                broke = False
-                for future in finished:
-                    attempt = in_flight.pop(future)
-                    if self._handle_outcome(attempt, future, pending, result):
-                        self._retry_or_fail(
-                            attempt,
-                            STATUS_CRASHED,
-                            "worker process died (pool broken)",
-                            pending,
-                            result,
-                        )
-                        broke = True
-                if broke:
-                    self._rebuild(in_flight, pending, result)
-        except KeyboardInterrupt:
-            # Every finished job is already checkpointed (the store
-            # flushes per record), so `campaign resume` picks up cleanly
-            # at the first unrecorded job.  Cancel what we can and let
-            # the interrupt propagate.
-            obs.log(
-                "warning",
-                "campaign interrupted",
-                campaign=self.spec.name,
-                records_checkpointed=len(result.records) + result.skipped,
-                pending=len(pending) + len(in_flight),
-            )
-            self._emit(
-                f"interrupted: {len(result.records)} records checkpointed "
-                f"this run; continue with `campaign resume {self.store.root}`"
-            )
+        ) as run_span:
+            exec_ = scheduler.campaigns[
+                scheduler.submit(self.spec, self.store.root, resume=resume)
+            ]
+            run_span.note(jobs=exec_.queue.pending_count)
+            self._executor = self._factory()
             try:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # noqa: BLE001 — best-effort cancellation
-                pass
-            raise
-        finally:
-            run_span.__exit__(None, None, None)
-            if trace_env_set:
-                os.environ.pop(tracectx.ENV_TRACE, None)
-            self._executor.shutdown(wait=True)
-            obs.flush()
+                self._drive(scheduler, exec_, slots)
+            except KeyboardInterrupt:
+                # Every finished job is already checkpointed (the store
+                # flushes per record), so `campaign resume` picks up
+                # cleanly at the first unrecorded job.  Cancel what we
+                # can and let the interrupt propagate.
+                done = sum(exec_.counts.values())
+                obs.log(
+                    "warning",
+                    "campaign interrupted",
+                    campaign=self.spec.name,
+                    records_checkpointed=done + exec_.skipped,
+                    pending=exec_.queue.pending_count + exec_.queue.leased_count,
+                )
+                self._emit(
+                    f"interrupted: {done} records checkpointed this run; "
+                    f"continue with `campaign resume {self.store.root}`"
+                )
+                self._shutdown_quietly()
+                raise
+            finally:
+                self._executor.shutdown(wait=True)
+                obs.flush()
 
-        result.elapsed_seconds = time.monotonic() - start
-        counts = dict(result.counts)
-        counts["skipped"] = result.skipped
-        self.store.finalize(counts)
-        self._emit(result.summary())
-        return result
+        return CampaignResult(
+            counts=dict(exec_.counts),
+            skipped=exec_.skipped,
+            elapsed_seconds=time.monotonic() - start,
+        )
 
-    def _rebuild(
-        self, in_flight: dict, pending: list, result: CampaignResult
+    def _drive(
+        self, scheduler: ClusterScheduler, exec_: CampaignExec, slots: list
     ) -> None:
-        """A worker died and took the pool with it: charge every
-        in-flight job one attempt (retry or record the crash), then
-        start a fresh pool and keep going.
-
-        Accounting invariants (pinned by
-        ``tests/test_campaign_runner.py::TestBrokenPoolAccounting``):
-        the job whose future raised ``BrokenExecutor`` was popped from
-        ``in_flight`` and charged by the caller, so it is charged
-        exactly once here too — and ``submitted_at`` is left intact so
-        a terminal record keeps its real wall-clock duration (it was
-        previously zeroed right before ``_retry_or_fail``, wiping the
-        duration of every crash-terminated job)."""
-        for attempt in list(in_flight.values()):
-            self._retry_or_fail(
-                attempt,
-                STATUS_CRASHED,
-                "worker process died (pool broken)",
-                pending,
-                result,
+        """Lease to free slots and settle outcomes until the scheduler
+        finalizes the campaign."""
+        crash_isolated = getattr(self._executor, "supports_crash_isolation", True)
+        in_flight: dict = {}  # future -> (slot, lease message)
+        while scheduler.active():
+            busy = {slot for slot, _ in in_flight.values()}
+            free = [slot for slot in slots if slot not in busy]
+            while free:
+                message = scheduler.request_lease(free[0])
+                if message is None:
+                    break
+                payload = message["payload"]
+                payload["trace"] = message.get("trace")
+                if "inject_mode" in payload:
+                    payload["allow_hard_crash"] = crash_isolated
+                try:
+                    future = self._executor.submit(run_attempt, payload)
+                except BrokenExecutor:
+                    # The pool was already dead; this attempt never ran,
+                    # so it goes back uncharged.
+                    exec_.queue.unlease(message["job_id"])
+                    self._rebuild(scheduler, in_flight)
+                    break
+                in_flight[future] = (free.pop(0), message)
+            if not in_flight:
+                time.sleep(scheduler.next_eligible_in() or 0.0)
+                continue
+            # With a free slot, wake when the next backoff expires.
+            finished, _ = wait(
+                in_flight,
+                timeout=scheduler.next_eligible_in() if free else None,
+                return_when=FIRST_COMPLETED,
             )
+            broke = False
+            for future in finished:
+                try:
+                    outcome = future.result()
+                except BrokenExecutor:
+                    broke = True
+                    continue
+                slot, message = in_flight.pop(future)
+                if outcome.ok or message["final"]:
+                    self.store.append(
+                        attempt_record(message["payload"], message["trial"], outcome)
+                    )
+                scheduler.handle_result(
+                    slot,
+                    {
+                        "campaign_id": message["campaign_id"],
+                        "job_id": message["job_id"],
+                        **outcome.result_fields(),
+                    },
+                )
+            if broke:
+                self._rebuild(scheduler, in_flight)
+
+    def _rebuild(self, scheduler: ClusterScheduler, in_flight: dict) -> None:
+        """A worker died and took the pool with it: the scheduler
+        charges every in-flight slot one attempt (its disconnect path),
+        then a fresh pool takes over."""
+        for slot, _ in in_flight.values():
+            scheduler.disconnect_worker(slot)
+            scheduler.register_worker(slot, pid=os.getpid())
         in_flight.clear()
         obs.counter_add("campaign.pool_rebuilds")
         self._emit("worker pool broke (crashed worker); rebuilding pool")
+        self._shutdown_quietly()
+        self._executor = self._factory()
+
+    def _shutdown_quietly(self) -> None:
         try:
             self._executor.shutdown(wait=False, cancel_futures=True)
         except Exception:  # noqa: BLE001 — a broken pool may refuse shutdown
             pass
-        self._executor = self._factory()

@@ -1,64 +1,58 @@
 """Distributed campaign execution: scheduler, worker protocol, service.
 
-The package splits the single-host campaign runner along its natural
-seam.  The **scheduler** (:mod:`repro.cluster.scheduler`) owns job
-expansion, a work-stealing lease queue with heartbeat-backed crash
-recovery (:mod:`repro.cluster.queue`), retry accounting, and the
-shard-merge finalize; **workers** (:mod:`repro.cluster.worker`) own
-execution via the shared :mod:`repro.campaign.executor` core and write
-their records to per-worker ``shard-<id>/`` sub-stores.  The two talk
-a JSON-lines protocol over TCP or a Unix socket
-(:mod:`repro.cluster.protocol`), served by the asyncio shell in
-:mod:`repro.cluster.service` — one-shot (``repro cluster run``) or as
-a long-lived campaign service (``repro cluster serve`` +
-``submit``/``status``/``cancel``).
+The **scheduler** (:mod:`repro.cluster.scheduler`) is the repo's one
+campaign engine: it owns job expansion, a work-stealing lease queue
+with heartbeat-backed crash recovery (:mod:`repro.cluster.queue`),
+retry and give-up accounting, and the shard-merge finalize.  The
+single-host :class:`repro.campaign.runner.CampaignRunner` drives it
+in-process over a process pool; the cluster drives it over a network.
+Cluster **workers** (:mod:`repro.cluster.worker`) own execution via the
+shared :mod:`repro.campaign.executor` core and write their records to
+per-worker ``shard-<id>/`` sub-stores.  The two talk a JSON-lines
+protocol over TCP or a Unix socket (:mod:`repro.cluster.protocol`),
+served by the asyncio shell in :mod:`repro.cluster.service` — one-shot
+(``repro cluster run``) or as a long-lived campaign service
+(``repro cluster serve`` + ``submit``/``status``/``cancel``).
 
 The determinism contract carries over unchanged: job metrics are a
 pure function of ``(experiment, params, seed)``, so the same spec
 digests identically (:func:`repro.campaign.store.metrics_digest`)
 whether it ran on the local pool, one worker, or N workers with a
 mid-run crash.  See ``docs/cluster.md``.
+
+Names are exported lazily: ``campaign run`` imports the scheduler and
+queue only, so the socket and asyncio modules load on first use of a
+name that needs them.
 """
 
-from repro.cluster.protocol import (
-    Endpoint,
-    MessageStream,
-    ProtocolError,
-    parse_endpoint,
-)
-from repro.cluster.queue import Lease, LeaseQueue, QueuedJob
-from repro.cluster.scheduler import (
-    CampaignExec,
-    ClusterScheduler,
-    WorkerInfo,
-)
-from repro.cluster.service import (
-    FleetExitedError,
-    SchedulerServer,
-    control_request,
-    run_cluster,
-    serve,
-    spawn_worker,
-)
-from repro.cluster.worker import ClusterWorker, default_worker_id
+from importlib import import_module
 
-__all__ = [
-    "Endpoint",
-    "MessageStream",
-    "ProtocolError",
-    "parse_endpoint",
-    "Lease",
-    "LeaseQueue",
-    "QueuedJob",
-    "CampaignExec",
-    "ClusterScheduler",
-    "WorkerInfo",
-    "FleetExitedError",
-    "SchedulerServer",
-    "control_request",
-    "run_cluster",
-    "serve",
-    "spawn_worker",
-    "ClusterWorker",
-    "default_worker_id",
-]
+_EXPORTS = {
+    "Endpoint": "protocol",
+    "MessageStream": "protocol",
+    "ProtocolError": "protocol",
+    "parse_endpoint": "protocol",
+    "Lease": "queue",
+    "LeaseQueue": "queue",
+    "QueuedJob": "queue",
+    "CampaignExec": "scheduler",
+    "ClusterScheduler": "scheduler",
+    "WorkerInfo": "scheduler",
+    "FleetExitedError": "service",
+    "SchedulerServer": "service",
+    "control_request": "service",
+    "run_cluster": "service",
+    "serve": "service",
+    "spawn_worker": "service",
+    "ClusterWorker": "worker",
+    "default_worker_id": "worker",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)

@@ -56,8 +56,8 @@ commands use the same stream)::
     shutdown   {}                              -> ok
 
 Determinism note: nothing on the wire feeds the job's metrics — the
-``payload`` carries the same ``(experiment, params, seed)`` triple the
-single-host runner builds, so transport cannot perturb results.
+``payload`` carries the same ``(experiment, params, seed)`` triple a
+local pool slot gets, so transport cannot perturb results.
 """
 
 from __future__ import annotations

@@ -2,12 +2,11 @@
 
 Jobs sit in a pending list until any worker asks for work (that *is*
 the work stealing: there is no per-worker assignment, the next free
-worker takes the next eligible job).  A leased job is invisible to
-other workers until its lease expires or its worker disconnects; then
-it is charged one attempt — exactly the accounting the single-host
-runner applies when a broken pool takes in-flight jobs with it — and
-either requeued with the runner's exponential backoff or declared
-terminally crashed.
+worker — a cluster worker or a local pool slot — takes the next
+eligible job).  A leased job is invisible to other workers until its
+lease expires or its worker disconnects (for a pool slot: the pool
+broke); then the scheduler charges it one attempt and either requeues
+it with exponential backoff or declares it terminally crashed.
 
 The clock is injected so every lease-expiry path is unit-testable
 without sleeping.
@@ -28,7 +27,7 @@ class QueuedJob:
 
     job: JobSpec
     position: int  # index in spec expansion order (fault-injection anchor)
-    attempt: int = 0  # 0-based, same convention as the runner
+    attempt: int = 0  # 0-based
     eligible_at: float = 0.0  # clock time before which it is held back
     # Clock time the job (re-)became eligible to run: submission time
     # initially, the end of the backoff hold after a retry.  Lease time
@@ -56,7 +55,7 @@ class LeaseQueue:
     Args:
         jobs: pending jobs in deterministic (expansion) order.
         max_retries: attempts beyond the first before a job is terminal.
-        retry_backoff: base of the runner-compatible exponential backoff
+        retry_backoff: base of the exponential backoff
             (``delay = retry_backoff * 2**attempt``).
         lease_seconds: how long a lease lives between heartbeats.
         clock: monotonic time source (injected in tests).
@@ -155,8 +154,13 @@ class LeaseQueue:
         """Record a terminal outcome (ok or exhausted failure)."""
         self._done.add(job_id)
 
+    def unlease(self, job_id: str) -> None:
+        """Put a leased job that never started back at the head of the
+        queue without charging an attempt (its executor refused it)."""
+        self._pending.insert(0, self._leases.pop(job_id).queued)
+
     def retry(self, queued: QueuedJob) -> float:
-        """Requeue a failed attempt with the runner's backoff; returns
+        """Requeue a failed attempt with exponential backoff; returns
         the applied delay.  Caller must have checked
         :meth:`is_final_attempt` first."""
         delay = self.retry_backoff * (2**queued.attempt)

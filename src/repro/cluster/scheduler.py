@@ -1,19 +1,27 @@
-"""The cluster scheduler: campaigns in, leases out, records merged.
+"""The campaign engine: campaigns in, leases out, records merged.
 
-This is the distributed twin of
-:class:`repro.campaign.runner.CampaignRunner`, split along the
-scheduler/worker seam: the scheduler owns job expansion, the lease
-queue, retry/backoff accounting and finalize, while workers own
-execution (:func:`repro.campaign.executor.run_attempt`) and write
-records to their own ``shard-<worker_id>/`` sub-store.  Crash recovery
-generalizes the runner's broken-pool rebuild: a lease that expires, or
-a worker whose connection drops, charges the job exactly one attempt
-and requeues it with the same exponential backoff.
+:class:`ClusterScheduler` is the only place campaign execution is
+decided.  It owns job expansion, the lease queue, retry with
+exponential backoff, the terminal give-up, crash charging, the
+once-per-campaign unenforceable-budget warning, progress lines, trace
+propagation and finalize.  Its two transports only move payloads and
+outcomes:
 
-The class is deliberately synchronous with an injected clock — the
-asyncio service in :mod:`repro.cluster.service` is a thin transport
-shell around it, and every failure path (lease expiry, duplicate
-completion, mid-campaign cancel) unit-tests without sockets or sleeps.
+- :class:`repro.campaign.runner.CampaignRunner` drives it in-process,
+  one registered worker per ``ProcessPoolExecutor`` slot, and writes
+  terminal records straight into the main ``results.jsonl``;
+- :mod:`repro.cluster.service` drives it over sockets, and cluster
+  workers write terminal records to their own ``shard-<worker_id>/``
+  sub-store, merged at finalize.
+
+Crash recovery is one rule for both: a lease that expires, a worker
+whose connection drops, or a pool slot lost with a broken pool charges
+the job exactly one attempt through :meth:`ClusterScheduler.disconnect_worker`
+or :meth:`ClusterScheduler.tick`.
+
+The class is deliberately synchronous with an injected clock, so every
+failure path (lease expiry, duplicate completion, mid-campaign cancel)
+unit-tests without sockets or sleeps.
 
 Multiple campaigns queue FIFO and drain through the same worker fleet:
 a lease request scans campaigns in submission order and takes the
@@ -29,14 +37,10 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.campaign import executor as executor_mod
+from repro.campaign.executor import AttemptOutcome, attempt_record
 from repro.obs import tracectx
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import (
-    STATUS_CRASHED,
-    STATUS_OK,
-    JobRecord,
-    ResultStore,
-)
+from repro.campaign.store import STATUS_CRASHED, STATUS_OK, ResultStore
 from repro.cluster.queue import Lease, LeaseQueue, QueuedJob
 
 STATE_RUNNING = "running"
@@ -69,15 +73,18 @@ class CampaignExec:
     counts: dict = field(default_factory=dict)
     retries: int = 0
     skipped: int = 0
+    warned_unenforced: bool = False
     started_at: float = 0.0
     finished_at: Optional[float] = None
-    # Trace context: the campaign's trace id and the id reserved for
-    # its root span.  The span event itself is emitted at finalize
-    # (duration known); reserving the id at submit lets every job
-    # message carry it, so worker spans parent to a span that does not
-    # exist in any sink yet.
+    # Trace context: the campaign's trace id, the id reserved for its
+    # span and that span's parent (the span open at submit, e.g. the
+    # local runner's ``campaign.run``).  The span event itself is
+    # emitted at finalize (duration known); reserving the id at submit
+    # lets every job message carry it, so worker spans parent to a
+    # span that does not exist in any sink yet.
     trace_id: str = ""
     span_id: str = ""
+    span_parent: Optional[str] = None
     span_wall: float = 0.0
 
     def bump(self, status: str) -> None:
@@ -100,7 +107,7 @@ class ClusterScheduler:
             (must be comfortably under ``lease_seconds``).
         clock: monotonic time source, injected in tests.
         on_event: optional human-readable progress callback (the CLI
-            prints these lines, mirroring the runner's ``on_event``).
+            prints these lines; the local runner passes its own).
     """
 
     def __init__(
@@ -170,6 +177,7 @@ class ClusterScheduler:
                 tracectx.current_trace_id() or tracectx.new_trace_id()
             )
             exec_.span_id = obs.new_span_id()
+            exec_.span_parent = tracectx.current_parent()
             exec_.span_wall = time.time()
         self.campaigns[campaign_id] = exec_
         self._order.append(campaign_id)
@@ -208,7 +216,7 @@ class ClusterScheduler:
     def _finalize(self, exec_: CampaignExec, state: str = STATE_DONE) -> None:
         """Merge shards into the main store and stamp the manifest —
         after this, ``campaign report``/``diag``/``obs`` read the merged
-        directory exactly as if the local runner had produced it."""
+        directory exactly as they read a single-host run's."""
         # Merge/finalize spans attach under the campaign span (managed
         # manually, so it is never on this thread's stack).
         with tracectx.adopted(exec_.wire_trace()):
@@ -224,6 +232,7 @@ class ClusterScheduler:
                 ts=exec_.span_wall,
                 dur=max(0.0, exec_.finished_at - exec_.started_at),
                 span_id=exec_.span_id,
+                parent=exec_.span_parent,
                 trace=exec_.trace_id,
                 status="ok" if state == STATE_DONE else state,
                 campaign=exec_.spec.name,
@@ -337,8 +346,8 @@ class ClusterScheduler:
         ]
         return min((w for w in waits if w is not None), default=None)
 
-    def _job_message(self, exec_: CampaignExec, lease: Lease) -> dict:
-        queued = lease.queued
+    def _payload(self, exec_: CampaignExec, queued: QueuedJob) -> dict:
+        """The :mod:`repro.campaign.executor` payload of one attempt."""
         job = queued.job
         payload = {
             "job_id": job.job_id,
@@ -357,14 +366,20 @@ class ClusterScheduler:
             # unlike a pool worker there is nothing to respawn it, so
             # the drill surfaces as WorkerCrash (the in-process
             # executor's convention).  Real worker death is exercised
-            # by the SIGKILL drill instead.
+            # by the SIGKILL drill; the local runner re-enables hard
+            # exits for executors that isolate crashes.
             payload["allow_hard_crash"] = False
+        return payload
+
+    def _job_message(self, exec_: CampaignExec, lease: Lease) -> dict:
+        queued = lease.queued
+        job = queued.job
         message = {
             "campaign_id": exec_.campaign_id,
             "lease_id": lease.lease_id,
             "job_id": job.job_id,
             "trial": job.trial,
-            "payload": payload,
+            "payload": self._payload(exec_, queued),
             "final": exec_.queue.is_final_attempt(queued),
             "store_root": str(exec_.store.root),
         }
@@ -386,8 +401,22 @@ class ClusterScheduler:
         if queued is None:
             obs.counter_add("cluster.results_stale")
             return
-        obs.counter_add("cluster.attempts")
+        obs.counter_add("campaign.attempts")
+        if message.get("timeout_enforced") is False and not exec_.warned_unenforced:
+            exec_.warned_unenforced = True
+            obs.warn_once(
+                "campaign.timeout-unenforced",
+                "per-job wall-clock budgets are not enforceable here "
+                "(no SIGALRM or worker off the main thread); jobs may "
+                "overrun their budget",
+                timeout_seconds=exec_.spec.timeout_seconds,
+            )
+            self._emit(
+                "warning: per-job timeout cannot be enforced on this "
+                "platform (no SIGALRM); budgets are advisory"
+            )
         status = message.get("status", "")
+        duration = float(message.get("duration", 0.0))
         if status == STATUS_OK:
             exec_.queue.mark_done(job_id)
             exec_.bump(STATUS_OK)
@@ -395,45 +424,55 @@ class ClusterScheduler:
             if info is not None:
                 info.jobs_done += 1
             obs.counter_add("campaign.ok")
-            obs.observe(
-                "campaign.job_seconds", float(message.get("duration", 0.0))
-            )
+            obs.observe("campaign.job_seconds", duration)
             self._emit(
                 f"ok {job_id} via {worker_id} "
-                f"({float(message.get('duration', 0.0)):.2f}s, "
-                f"attempt {queued.attempt + 1})"
-            )
-        elif exec_.queue.is_final_attempt(queued):
-            # The worker already wrote the terminal failure record to
-            # its shard (it was told final=true on the lease).
-            exec_.queue.mark_done(job_id)
-            exec_.bump(status)
-            obs.counter_add(f"campaign.{status}")
-            obs.log(
-                "warning",
-                "job gave up",
-                job_id=job_id,
-                status=status,
-                attempts=queued.attempt + 1,
-                error=message.get("error"),
-            )
-            self._emit(
-                f"gave up on {job_id} after {queued.attempt + 1} attempts: "
-                f"{message.get('error')}"
+                f"({duration:.2f}s, attempt {queued.attempt + 1})"
             )
         else:
+            # A final failure's record is already written (the lease
+            # said final=true).
+            self._charge(exec_, queued, status, message.get("error"))
+        if exec_.queue.drained():
+            self._finalize(exec_)
+
+    # -- failure accounting ----------------------------------------------
+    def _charge(
+        self,
+        exec_: CampaignExec,
+        queued: QueuedJob,
+        status: str,
+        error: Optional[str],
+    ) -> None:
+        """Charge one failed attempt: requeue it with backoff, or give
+        up when retries are exhausted (the caller has written the
+        terminal record)."""
+        job_id = queued.job.job_id
+        if not exec_.queue.is_final_attempt(queued):
             delay = exec_.queue.retry(queued)
             exec_.retries += 1
             obs.counter_add("campaign.retries")
             obs.observe("cluster.backoff_seconds", delay)
             self._emit(
                 f"retry {job_id} (attempt {queued.attempt + 1}, "
-                f"after {delay:.2f}s): {message.get('error')}"
+                f"after {delay:.2f}s): {error}"
             )
-        if exec_.queue.drained():
-            self._finalize(exec_)
+            return
+        exec_.queue.mark_done(job_id)
+        exec_.bump(status)
+        obs.counter_add(f"campaign.{status}")
+        obs.log(
+            "warning",
+            "job gave up",
+            job_id=job_id,
+            status=status,
+            attempts=queued.attempt + 1,
+            error=error,
+        )
+        self._emit(
+            f"gave up on {job_id} after {queued.attempt + 1} attempts: {error}"
+        )
 
-    # -- crash recovery --------------------------------------------------
     def _timeout_enforced_hint(self, exec_: CampaignExec) -> Optional[bool]:
         if (
             exec_.spec.timeout_seconds is not None
@@ -445,51 +484,25 @@ class ClusterScheduler:
     def _charge_crash(
         self, exec_: CampaignExec, lease: Lease, error: str
     ) -> None:
-        """Charge a dead lease one attempt — retry with backoff or
-        record the terminal crash, mirroring the runner's broken-pool
-        accounting (in-flight jobs are charged exactly once)."""
+        """Charge a dead lease one attempt; a terminal crash record goes
+        to the scheduler's own shard, since no worker wrote one."""
         queued = lease.queued
-        if not exec_.queue.is_final_attempt(queued):
-            delay = exec_.queue.retry(queued)
-            exec_.retries += 1
-            obs.counter_add("campaign.retries")
-            obs.observe("cluster.backoff_seconds", delay)
-            self._emit(
-                f"retry {queued.job.job_id} (attempt {queued.attempt + 1}, "
-                f"after {delay:.2f}s): {error}"
+        obs.counter_add("campaign.attempts")
+        if exec_.queue.is_final_attempt(queued):
+            outcome = AttemptOutcome(
+                status=STATUS_CRASHED,
+                duration=max(0.0, self.clock() - lease.issued_at),
+                error=error,
+                timeout_enforced=self._timeout_enforced_hint(exec_),
             )
-            return
-        job = queued.job
-        record = JobRecord(
-            job_id=job.job_id,
-            experiment=job.experiment,
-            params=job.params_dict(),
-            trial=job.trial,
-            seed=job.seed,
-            status=STATUS_CRASHED,
-            attempts=queued.attempt + 1,
-            duration_seconds=max(0.0, self.clock() - lease.issued_at),
-            error=error,
-            timeout_enforced=self._timeout_enforced_hint(exec_),
-        )
-        shard = exec_.store.shard_store(SCHEDULER_SHARD)
-        shard.root.mkdir(parents=True, exist_ok=True)
-        shard.append(record)
-        exec_.queue.mark_done(job.job_id)
-        exec_.bump(STATUS_CRASHED)
-        obs.counter_add("campaign.crashed")
-        obs.log(
-            "warning",
-            "job gave up",
-            job_id=job.job_id,
-            status=STATUS_CRASHED,
-            attempts=queued.attempt + 1,
-            error=error,
-        )
-        self._emit(
-            f"gave up on {job.job_id} after {queued.attempt + 1} "
-            f"attempts: {error}"
-        )
+            shard = exec_.store.shard_store(SCHEDULER_SHARD)
+            shard.root.mkdir(parents=True, exist_ok=True)
+            shard.append(
+                attempt_record(
+                    self._payload(exec_, queued), queued.job.trial, outcome
+                )
+            )
+        self._charge(exec_, queued, STATUS_CRASHED, error)
 
     def tick(self) -> int:
         """Periodic housekeeping: expire overdue leases (heartbeat

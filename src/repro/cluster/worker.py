@@ -17,7 +17,7 @@ Record-writing split (the determinism-critical part):
   result is reported, so a scheduler crash right after execution never
   loses a finished job;
 - non-final failures produce no record — the scheduler requeues the
-  job with backoff, exactly like the single-host runner's retry path;
+  job with backoff;
 - a worker that dies mid-job writes nothing, and the scheduler's lease
   expiry / disconnect handling charges the attempt.
 
@@ -40,8 +40,8 @@ import uuid
 from typing import Callable, Optional
 
 from repro import obs
-from repro.campaign.executor import run_attempt
-from repro.campaign.store import JobRecord, ResultStore
+from repro.campaign.executor import attempt_record, run_attempt
+from repro.campaign.store import ResultStore
 from repro.cluster import protocol
 from repro.cluster.protocol import Endpoint, MessageStream
 from repro.obs import tracectx
@@ -110,19 +110,7 @@ class ClusterWorker:
                 )
                 shard.root.mkdir(parents=True, exist_ok=True)
                 shard.append(
-                    JobRecord(
-                        job_id=job_id,
-                        experiment=payload["experiment"],
-                        params=payload["params"],
-                        trial=int(message.get("trial", 0)),
-                        seed=payload["seed"],
-                        status=outcome.status,
-                        attempts=int(payload.get("attempt", 0)) + 1,
-                        duration_seconds=outcome.duration,
-                        metrics=outcome.metrics,
-                        error=outcome.error,
-                        timeout_enforced=outcome.timeout_enforced,
-                    )
+                    attempt_record(payload, int(message.get("trial", 0)), outcome)
                 )
         self.jobs_done += 1
         obs.counter_add("cluster.worker_jobs")
@@ -132,13 +120,8 @@ class ClusterWorker:
             "campaign_id": message["campaign_id"],
             "lease_id": message["lease_id"],
             "job_id": job_id,
-            "status": outcome.status,
-            "duration": outcome.duration,
+            **outcome.result_fields(),
         }
-        if outcome.error is not None:
-            result["error"] = outcome.error
-        if outcome.timeout_enforced is not None:
-            result["timeout_enforced"] = outcome.timeout_enforced
         if message.get("trace") is not None:
             result["trace"] = message["trace"]
         stream.send(result)

@@ -347,6 +347,17 @@ class ObsState:
             self.max_sink_bytes = None
             self._sink_bytes = 0
 
+    def after_fork_in_child(self) -> None:
+        """Start a forked child (a pool worker) with empty counters,
+        histograms and span stack.  Snapshots are summed per pid, so
+        values inherited from the parent would be counted twice; the
+        child's job spans parent through their lease's trace context
+        instead of the parent's open span."""
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self.counters.clear()
+        self.histograms.clear()
+
     def close(self) -> None:
         """atexit hook: persist the final counter snapshot."""
         if self.enabled:
@@ -438,6 +449,8 @@ class ObsState:
 
 
 STATE = ObsState()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=STATE.after_fork_in_child)
 
 
 # -- module-level API (what instrumented code calls) -------------------

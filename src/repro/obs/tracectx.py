@@ -16,16 +16,18 @@ context repairs that with two process-level fields on the obs state:
     an empty thread-local stack adopt it; nested spans keep their real
     local parent.
 
-The context crosses process boundaries two ways, matching the two ways
-this codebase starts workers:
+Campaign jobs receive the context one way, whichever transport runs
+them: a ``trace`` field (:func:`wire_context` payload) that the
+campaign engine puts on every lease — the cluster ``job`` message and
+the local runner's pool payload alike — adopted for exactly that
+attempt via :func:`adopted`, because a long-lived worker serves many
+campaigns and each job may belong to a different trace.
 
-* ``REPRO_OBS_TRACE="<trace_id>:<parent_span_id>"`` — inherited by
-  ProcessPool campaign workers at import, alongside ``REPRO_OBS``
-  (:func:`repro.obs.core._activate_from_env`).
-* A ``trace`` field (:func:`wire_context` payload) on the cluster
-  ``job``/``result`` lease messages — adopted per-job by long-lived
-  cluster workers via :func:`adopted`, because a parked worker serves
-  many campaigns and each job may belong to a different trace.
+A process can also *inherit* a context at import from
+``REPRO_OBS_TRACE="<trace_id>:<parent_span_id>"``
+(:func:`repro.obs.core._activate_from_env`, encoded by
+:func:`env_value`), so a traced parent can start a traced child
+process; no campaign transport exports it.
 
 Non-perturbation: trace ids come from :func:`uuid.uuid4` (OS entropy,
 ``os.urandom``) — never ``random`` or numpy — so enabling tracing
@@ -36,7 +38,6 @@ pinned metrics digest, byte-identical (asserted in
 
 from __future__ import annotations
 
-import os
 import uuid
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -53,7 +54,6 @@ __all__ = [
     "current_parent",
     "wire_context",
     "env_value",
-    "export_to_env",
     "adopted",
 ]
 
@@ -86,9 +86,10 @@ def clear_trace() -> None:
 def begin_trace() -> str:
     """The current trace id, creating and installing one if absent.
 
-    Campaign entry points (runner, scheduler) call this so that a
-    campaign started *inside* an existing trace joins it instead of
-    forking a new one.
+    The local runner calls this before opening its ``campaign.run``
+    span, so that span, the scheduler's campaign span and every job
+    share one trace — and a campaign started *inside* an existing trace
+    joins it instead of forking a new one.
     """
     if STATE.trace_id is None:
         STATE.trace_id = new_trace_id()
@@ -112,7 +113,7 @@ def current_parent() -> Optional[str]:
 def wire_context(
     trace_id: Optional[str] = None, parent: Optional[str] = None
 ) -> Optional[dict]:
-    """The JSON-safe trace payload carried on cluster lease messages:
+    """The JSON-safe trace payload carried on every campaign lease:
     ``{"trace": <trace_id>, "parent": <span_id>}``, or None when there
     is nothing to propagate (keeps untraced messages byte-identical to
     the pre-trace protocol)."""
@@ -137,30 +138,15 @@ def env_value(
     return f"{context['trace']}:{context.get('parent', '')}"
 
 
-def export_to_env(
-    trace_id: Optional[str] = None,
-    parent: Optional[str] = None,
-    environ: Optional[dict] = None,
-) -> bool:
-    """Write the trace context into ``environ`` (default
-    ``os.environ``) so spawned worker processes inherit it at import.
-    Returns True when a context was exported."""
-    value = env_value(trace_id, parent)
-    if value is None:
-        return False
-    target = os.environ if environ is None else environ
-    target[ENV_TRACE] = value
-    return True
-
-
 @contextmanager
 def adopted(context: Optional[dict]) -> Iterator[None]:
     """Temporarily adopt a :func:`wire_context` payload.
 
-    Cluster workers wrap each job in this so the job's spans join the
-    scheduling campaign's tree; the scheduler wraps its own finalize
-    work (shard merge) so those spans attach to the campaign span it
-    manages manually.  A falsy ``context`` is a no-op, and the previous
+    Every job attempt runs inside this
+    (:func:`repro.campaign.executor.execute_payload`) so the job's spans
+    join the scheduling campaign's tree; the scheduler wraps its own
+    finalize work (shard merge) so those spans attach to the campaign
+    span it manages manually.  A falsy ``context`` is a no-op, and the previous
     context is always restored — a parked worker returns to its idle
     (traceless) state between jobs.
     """

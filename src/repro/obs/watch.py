@@ -32,6 +32,8 @@ from typing import Optional
 from repro.obs.core import Histogram
 
 SPARK_CHARS = " ▁▂▃▄▅▆▇█"
+# The campaign engine's give-up counters, one per terminal non-ok status.
+TERMINAL_FAILURES = ("campaign.failed", "campaign.timeout", "campaign.crashed")
 ROLLING_WINDOW = 64
 
 
@@ -288,10 +290,12 @@ class WatchState:
         return merged
 
     def job_progress(self) -> dict:
-        """Done/failed/retried from the campaign counters."""
+        """Done/failed/retried from the campaign counters.  Every
+        terminal non-ok status (failed, timeout, crashed) counts as
+        failed; every other non-ok attempt was retried."""
         counters = self.counters()
         done = int(counters.get("campaign.ok", 0))
-        failed = int(counters.get("campaign.failed", 0))
+        failed = sum(int(counters.get(name, 0)) for name in TERMINAL_FAILURES)
         attempts = int(counters.get("campaign.attempts", 0))
         retried = max(0, attempts - done - failed)
         return {

@@ -4,8 +4,8 @@ rotation, and the Chrome Trace / critical-path exports.
 The contract under test: a campaign gets one ``trace_id``; spans in
 every participating process join that trace (root spans adopt the
 remote parent, nested spans keep their local parent); the context
-travels via ``REPRO_OBS_TRACE`` for pool workers and never touches an
-RNG stream; rotated sinks still reconstruct the full tree; and the
+travels on the lease's ``trace`` field (or is inherited from
+``REPRO_OBS_TRACE``) and never touches an RNG stream; rotated sinks still reconstruct the full tree; and the
 merged events export losslessly to the Trace Event Format.
 """
 
@@ -91,14 +91,6 @@ class TestTraceContext:
         _activate_from_env()
         assert tracectx.current_trace_id() == "abcd"
         assert tracectx.current_parent() == "9-3"
-
-    def test_export_to_env_writes_and_clears(self):
-        environ = {}
-        assert tracectx.export_to_env(
-            trace_id="abcd", parent="9-3", environ=environ
-        )
-        assert environ[obs.ENV_TRACE] == "abcd:9-3"
-        assert not tracectx.export_to_env(environ=environ)
 
     def test_adopted_restores_prior_context(self):
         tracectx.set_trace("outer-trace", parent="outer-parent")

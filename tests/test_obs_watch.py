@@ -208,6 +208,17 @@ class TestWatchState:
             "done": 3, "failed": 1, "retried": 2,
             "attempts": 6, "total": None,
         }
+        # A terminal timeout is a failure, not a retry.
+        state = WatchState()
+        state.ingest(
+            [{"kind": "counters", "pid": 1, "histograms": {},
+              "counters": {"campaign.ok": 3, "campaign.timeout": 1,
+                           "campaign.attempts": 5}}]
+        )
+        assert state.job_progress() == {
+            "done": 3, "failed": 1, "retried": 1,
+            "attempts": 5, "total": None,
+        }
 
     def test_warnings_dedupe_by_key_across_pids(self):
         state = WatchState()
