@@ -498,7 +498,8 @@ def _cluster_exit_code(counts: dict) -> int:
 
 
 def cmd_cluster_run(args: argparse.Namespace) -> int:
-    """One-shot distributed run: scheduler + N local worker processes."""
+    """One-shot distributed run: this process schedules, N workers
+    forked from it execute."""
     from repro.campaign import SpecMismatchError
     from repro.campaign.spec import CampaignSpec
     from repro.cluster import FleetExitedError, parse_endpoint, run_cluster
@@ -532,11 +533,11 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
             on_event=None if args.quiet else print,
             deadline_seconds=args.deadline,
         )
-    except SpecMismatchError as exc:
+    except (SpecMismatchError, TimeoutError, FleetExitedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TimeoutError, FleetExitedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyError as exc:  # unknown experiment
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     counts = outcome["counts"]
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
@@ -548,25 +549,17 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_worker(args: argparse.Namespace) -> int:
-    """Run one worker process against a scheduler (spawned by
-    ``cluster run``, or started by hand against ``cluster serve``)."""
-    from repro.cluster import ClusterWorker, ProtocolError, parse_endpoint
+    """Run one worker process against a scheduler (a ``cluster serve``
+    fleet member, or a remote host's worker for any scheduler)."""
+    from repro.cluster import parse_endpoint, run_worker
 
-    worker = ClusterWorker(
+    return run_worker(
         parse_endpoint(args.connect),
         worker_id=args.worker_id,
         on_event=None if args.quiet else print,
+        on_error=lambda line: print(line, file=sys.stderr),
         max_jobs=args.max_jobs,
     )
-    try:
-        worker.run()
-    except (ConnectionRefusedError, FileNotFoundError) as exc:
-        print(f"error: cannot reach scheduler: {exc}", file=sys.stderr)
-        return 2
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def cmd_cluster_serve(args: argparse.Namespace) -> int:

@@ -46,6 +46,7 @@ _EXPORTS = {
     "spawn_worker": "service",
     "ClusterWorker": "worker",
     "default_worker_id": "worker",
+    "run_worker": "worker",
 }
 
 __all__ = list(_EXPORTS)

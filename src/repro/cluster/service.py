@@ -13,17 +13,24 @@ Three entry points, all thin shells over
   the reaper task driving ``scheduler.tick()`` (lease expiry — crash
   recovery, off the critical path).
 - :func:`run_cluster` — the one-shot ``repro cluster run`` front end:
-  submit one campaign, spawn N local worker subprocesses, wait until
-  the campaign finalizes (or every worker has exited, or the deadline
-  passes), reap the workers.  ``drill_kill_worker`` SIGKILLs the first
-  worker right after the Nth result — the crash-recovery drill the CI
-  smoke and the integration tests run.
+  submit one campaign, fork N local workers from this process
+  (:func:`spawn_worker`), wait until the campaign finalizes (or every
+  worker has exited, or the deadline passes), reap the workers.
+  Forking skips a fresh interpreter's start-up and imports, which
+  used to dominate a small campaign's wall time.
+  ``drill_kill_worker`` SIGKILLs the first worker right after the Nth
+  result — the crash-recovery drill the CI smoke and the integration
+  tests run.
 - :func:`control_request` — the synchronous client the
   ``submit``/``status``/``cancel``/``shutdown`` commands use.
 
 Service mode (``repro cluster serve``) is the same server with
 ``serve_forever=True``: idle workers stay parked instead of drained, so
 campaigns submitted later drain through the already-connected fleet.
+Its workers are ``repro cluster worker`` processes, started by hand or
+on remote hosts.  Malformed messages (undecodable, oversized, a
+missing or mistyped field) close the sender's connection and nothing
+else.
 """
 
 from __future__ import annotations
@@ -32,19 +39,39 @@ import asyncio
 import os
 import signal
 import subprocess
-import sys
+import threading
+import time
 from typing import Callable, Optional
 
 from repro import obs
+from repro.campaign.experiments import get_experiment
 from repro.campaign.spec import CampaignSpec
 from repro.cluster import protocol
 from repro.cluster.protocol import Endpoint, MessageStream, ProtocolError
 from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.worker import run_worker
+from repro.obs import tracectx
 
 
 class FleetExitedError(RuntimeError):
     """Every worker of a one-shot run exited while its campaign was
     still running, so nothing is left to finish it."""
+
+
+def _field(message: dict, name: str, convert=str, default=None):
+    """``convert(message[name])``, or ``default`` when the field is
+    absent.  A missing required field or one ``convert`` rejects is a
+    :class:`ProtocolError`: it closes the sender's connection like any
+    other malformed message."""
+    value = message.get(name, default)
+    if value is not None:
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            pass
+    raise ProtocolError(
+        f"{message['type']!r} message with a missing or malformed {name!r}"
+    )
 
 
 class SchedulerServer:
@@ -189,7 +216,10 @@ class SchedulerServer:
         worker_id: Optional[str] = None
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:  # a line over the reader's limit
+                    raise ProtocolError(str(exc)) from exc
                 if not line:
                     break
                 message = protocol.decode_message(line.rstrip(b"\n"))
@@ -209,22 +239,22 @@ class SchedulerServer:
                             },
                         )
                         break
-                    worker_id = str(message["worker_id"])
+                    worker_id = _field(message, "worker_id")
                     body = self.scheduler.register_worker(
-                        worker_id, pid=int(message.get("pid", 0))
+                        worker_id, pid=_field(message, "pid", int, default=0)
                     )
                     await self._send(
                         writer, {"type": protocol.MSG_REGISTERED, **body}
                     )
                 elif kind == protocol.MSG_LEASE:
                     obs.counter_add("cluster.lease_requests")
-                    self._parked[str(message["worker_id"])] = writer
+                    self._parked[_field(message, "worker_id")] = writer
                     self.dispatch()
                 elif kind == protocol.MSG_HEARTBEAT:
-                    self.scheduler.heartbeat(str(message["worker_id"]))
+                    self.scheduler.heartbeat(_field(message, "worker_id"))
                 elif kind == protocol.MSG_RESULT:
                     self.scheduler.handle_result(
-                        str(message["worker_id"]), message
+                        _field(message, "worker_id"), message
                     )
                     if self._on_result is not None:
                         self._on_result()
@@ -328,38 +358,116 @@ def control_request(
 
 
 # -- one-shot local cluster run -----------------------------------------
+class ForkedWorker:
+    """The parent's handle on a worker :func:`spawn_worker` forked.
+
+    It has the part of the :class:`subprocess.Popen` interface
+    :func:`run_cluster` uses (``pid``, ``returncode``, ``poll``,
+    ``wait``, ``kill``, ``terminate``), so a ``Popen`` can stand in
+    for it.  As in ``Popen``, one lock guards ``waitpid``: a blocking
+    :meth:`wait` on one thread and ``poll``/timed ``wait`` on another
+    reap the pid exactly once.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._waitpid_lock = threading.Lock()
+
+    def _reap(self, flags: int) -> None:
+        # Caller holds _waitpid_lock.
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, flags)
+            if pid == self.pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+
+    def poll(self) -> Optional[int]:
+        """The exit code if the worker has exited, else None (a
+        negative code is the signal that killed it)."""
+        if self._waitpid_lock.acquire(blocking=False):
+            try:
+                self._reap(os.WNOHANG)
+            finally:
+                self._waitpid_lock.release()
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        """Block until the worker exits; :class:`subprocess.TimeoutExpired`
+        when ``timeout`` seconds pass first."""
+        if timeout is None:
+            with self._waitpid_lock:
+                self._reap(0)
+            return self.returncode
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(f"worker pid {self.pid}", timeout)
+            time.sleep(min(delay, remaining))
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def _send_signal(self, signum: int) -> None:
+        # Not once reaped: the pid may belong to another process by then.
+        if self.poll() is None:
+            try:
+                os.kill(self.pid, signum)
+            except ProcessLookupError:
+                pass
+
+    def terminate(self) -> None:
+        """SIGTERM the worker."""
+        self._send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        """SIGKILL the worker."""
+        self._send_signal(signal.SIGKILL)
+
+
+def _reset_forked_worker(obs_sink: Optional[str]) -> None:
+    """Undo, in a freshly forked worker, what the scheduler's event
+    loop and process installed: the loop's signal wake-up fd and its
+    SIGINT/SIGTERM handlers, the caller's stdout/stderr, and its obs
+    sink and trace context (the fork hook already emptied counters)."""
+    signal.set_wakeup_fd(-1)
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    os.close(devnull)
+    level = obs.current_level()
+    obs.disable()
+    tracectx.clear_trace()
+    if obs_sink is not None:
+        obs.enable(sink_path=obs_sink, level=level)
+
+
 def spawn_worker(
     endpoint: Endpoint,
     worker_id: str,
     obs_sink: Optional[str] = None,
-) -> subprocess.Popen:
-    """Start one ``repro cluster worker`` subprocess."""
-    env = dict(os.environ)
-    if obs_sink is not None:
-        env[obs.ENV_SINK] = obs_sink
-    else:
-        env.pop(obs.ENV_SINK, None)
-    # Cluster workers adopt trace context per-lease from the job
-    # message, never from the environment — an inherited process-level
-    # trace would misattribute a parked worker's idle time to whatever
-    # campaign the parent process happened to be tracing.
-    env.pop(obs.ENV_TRACE, None)
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "cluster",
-            "worker",
-            "--connect",
-            str(endpoint),
-            "--worker-id",
-            worker_id,
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+) -> ForkedWorker:
+    """Fork this process into one cluster worker.
+
+    The child runs :func:`repro.cluster.worker.run_worker` — what
+    ``repro cluster worker`` runs — against ``endpoint`` and leaves
+    with :func:`os._exit` and its exit code (0 drained, 2 scheduler
+    unreachable or protocol error, 1 anything else), so it never runs
+    the parent's atexit hooks or returns into the caller.  It records
+    obs events to ``obs_sink`` at the parent's level, or none; its
+    jobs adopt the trace context their lease carries.  POSIX only.
+    """
+    pid = os.fork()
+    if pid:
+        return ForkedWorker(pid)
+    code = 1
+    try:
+        _reset_forked_worker(obs_sink)
+        code = run_worker(endpoint, worker_id)
+    finally:
+        os._exit(code)
 
 
 def run_cluster(
@@ -376,8 +484,12 @@ def run_cluster(
     on_event: Optional[Callable[[str], None]] = None,
     deadline_seconds: float = 600.0,
 ) -> dict:
-    """Run one campaign on a local fleet of worker subprocesses.
+    """Run one campaign on a local fleet of workers forked from this
+    process (:func:`spawn_worker`).
 
+    The spec's experiment is resolved here, before the fork, so every
+    worker inherits it already imported, and an unknown experiment
+    raises :class:`KeyError` before anything is written.
     Blocks until the campaign finalizes, reaps the workers, and
     returns the outcome counts.  Raises :class:`TimeoutError` when the
     deadline passes first, and :class:`FleetExitedError` (naming the
@@ -394,6 +506,7 @@ def run_cluster(
     single self-contained sink whose span tree ``obs report --trace``
     can stitch with no extra globbing.
     """
+    get_experiment(spec.experiment)
     scheduler = ClusterScheduler(
         lease_seconds=lease_seconds,
         heartbeat_seconds=heartbeat_seconds,
@@ -403,7 +516,7 @@ def run_cluster(
     exec_ = scheduler.campaigns[campaign_id]
 
     async def _drive() -> dict:
-        procs: list[subprocess.Popen] = []
+        procs: list[ForkedWorker] = []
         drilled = False
 
         def drill() -> None:

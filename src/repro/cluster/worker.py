@@ -21,10 +21,16 @@ Record-writing split (the determinism-critical part):
 - a worker that dies mid-job writes nothing, and the scheduler's lease
   expiry / disconnect handling charges the attempt.
 
-Observability: workers self-activate from the ``REPRO_OBS``
-environment variable at import (the standard obs mechanism) — the
-one-shot ``repro cluster run --obs`` front end points each worker at
-``<store>/shard-<worker_id>/obs.jsonl`` so a sharded campaign is
+Two kinds of process run :func:`run_worker`: ``repro cluster worker``
+(a fresh interpreter, for ``cluster serve`` fleets and remote hosts)
+and the workers ``repro cluster run`` forks from its scheduler process
+(:func:`repro.cluster.service.spawn_worker`).
+
+Observability: a ``cluster worker`` process self-activates from the
+``REPRO_OBS`` environment variable at import (the standard obs
+mechanism); a forked worker is given its sink by ``spawn_worker`` —
+with ``cluster run --obs-shards`` that is
+``<store>/shard-<worker_id>/obs.jsonl``, so a sharded campaign is
 watchable live with ``repro obs watch --obs '<store>/shard-*/obs.jsonl'``.
 Each ``job`` message may carry the campaign's trace context; the worker
 adopts it for exactly that job (:func:`repro.obs.tracectx.adopted`), so
@@ -203,3 +209,33 @@ class ClusterWorker:
                 heartbeat_thread.join(timeout=1.0)
             stream.close()
             obs.flush()
+
+
+def run_worker(
+    endpoint: Endpoint,
+    worker_id: Optional[str] = None,
+    on_event: Optional[Callable[[str], None]] = None,
+    on_error: Optional[Callable[[str], None]] = None,
+    max_jobs: Optional[int] = None,
+) -> int:
+    """Serve one worker until it is drained or disconnected; returns
+    the process exit code.
+
+    0 once the worker stops normally; 2 when the scheduler cannot be
+    reached or breaks the protocol (refused registration included),
+    after passing the ``error: ...`` line to ``on_error``.
+    """
+    worker = ClusterWorker(
+        endpoint, worker_id=worker_id, on_event=on_event, max_jobs=max_jobs
+    )
+    try:
+        worker.run()
+    except (ConnectionRefusedError, FileNotFoundError) as exc:
+        error = f"cannot reach scheduler: {exc}"
+    except protocol.ProtocolError as exc:
+        error = str(exc)
+    else:
+        return 0
+    if on_error is not None:
+        on_error(f"error: {error}")
+    return 2

@@ -42,6 +42,7 @@ from repro.obs.core import (
     Span,
     counter_add,
     counters_snapshot,
+    current_level,
     disable,
     emit_span_event,
     enable,
@@ -100,6 +101,7 @@ __all__ = [
     "chrome_trace_events",
     "counter_add",
     "counters_snapshot",
+    "current_level",
     "disable",
     "emit_span_event",
     "enable",

@@ -459,6 +459,11 @@ def enabled() -> bool:
     return STATE.enabled
 
 
+def current_level() -> str:
+    """The name of the level log lines are recorded at and above."""
+    return next(name for name, value in LEVELS.items() if value == STATE.level)
+
+
 def enable(
     sink_path: Optional[str] = None,
     level: str = "info",

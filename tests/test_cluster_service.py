@@ -11,6 +11,8 @@ import asyncio
 import contextlib
 import gc
 import json
+import os
+import signal
 import socket
 import subprocess
 import sys
@@ -30,6 +32,8 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.cluster import protocol, service
+from repro.obs.export import event_pid
+from repro.obs.report import trace_summary
 
 # Bound on every read, so a reply that never comes fails the test
 # instead of hanging it.
@@ -215,6 +219,56 @@ class TestTransport:
         assert "version mismatch" in capsys.readouterr().err
 
 
+async def closed_by_server(reader):
+    """Whether the server closed the connection without a reply: EOF,
+    or a reset when it closed with bytes of ours still unread."""
+    try:
+        return await asyncio.wait_for(reader.read(), READ_TIMEOUT) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestMalformedMessages:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            protocol.encode_message({"type": protocol.MSG_LEASE}),
+            protocol.encode_message(
+                {"type": protocol.MSG_REGISTER, "worker_id": "bad",
+                 "pid": "abc", "protocol": protocol.PROTOCOL_VERSION}
+            ),
+            b"x" * (protocol.MAX_LINE_BYTES + 1) + b"\n",
+        ],
+        ids=["lease-without-worker-id", "register-with-bad-pid", "oversized"],
+    )
+    def test_closes_the_connection_and_keeps_serving(self, tmp_path, line):
+        scheduler = ClusterScheduler()
+        scheduler.submit(one_job_spec(), tmp_path / "out")
+
+        async def scenario():
+            async with serving(scheduler) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.endpoint.host, server.endpoint.port
+                )
+                with contextlib.suppress(ConnectionError):
+                    writer.write(line)
+                    await writer.drain()
+                assert await closed_by_server(reader)
+                writer.close()
+                worker = await RawWorker.register(server.endpoint, "good")
+                await worker.lease()
+                job = await worker.recv()
+                assert job["type"] == protocol.MSG_JOB
+                await worker.report(job, "ok")
+                await worker.lease()
+                assert (await worker.recv())["type"] == protocol.MSG_DRAIN
+                await worker.close()
+
+        assert run_scenario(scenario) == []
+        assert "bad" not in scheduler.workers
+        assert not scheduler.active()
+
+
 class TestParkedLeases:
     def test_parked_lease_gets_the_job_when_its_backoff_expires(
         self, tmp_path
@@ -374,3 +428,79 @@ class TestOneShotRun:
         ])
         assert code == 2
         assert "error: every worker exited" in capsys.readouterr().err
+
+    def test_cli_rejects_an_unknown_experiment_before_writing(
+        self, tmp_path, capsys
+    ):
+        from repro import cli
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(one_job_spec(experiment="no_such_experiment").to_dict())
+        )
+        code = cli.main([
+            "cluster", "run", str(spec_path), "--out", str(tmp_path / "out"),
+            "--quiet",
+        ])
+        assert code == 2
+        assert (
+            "error: unknown experiment 'no_such_experiment'"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
+
+class TestForkedWorkers:
+    def test_workers_record_only_their_own_events(self, tmp_path):
+        """Forked workers start with no sink, trace or counters of the
+        scheduler's: each shard sink holds one worker pid, no snapshot
+        carries a scheduler counter, and the sinks still stitch into
+        one trace."""
+        scheduler_sink = tmp_path / "scheduler.jsonl"
+        obs.enable(sink_path=str(scheduler_sink))
+        result = run_cluster(
+            one_job_spec(grid={"size": [30, 40, 50]}, trials=2),
+            tmp_path / "out", workers=2, obs_shards=True,
+            deadline_seconds=60.0,
+        )
+        obs.flush()
+        obs.reset()
+        assert result["state"] == "done"
+        shards = sorted((tmp_path / "out").glob("shard-w*/obs.jsonl"))
+        assert shards
+        for shard in shards:
+            events = obs.load_events(str(shard))
+            pids = {event_pid(event) for event in events}
+            assert len(pids) == 1 and os.getpid() not in pids, (shard, pids)
+            for event in events:
+                if event.get("kind") == "counters":
+                    assert "cluster.campaigns_submitted" not in event["counters"]
+        summary = trace_summary(
+            obs.load_events_multi([str(scheduler_sink), *map(str, shards)])
+        )
+        assert len(summary["trace_ids"]) == 1
+        assert summary["n_orphans"] == 0
+
+    def test_parked_worker_dies_on_terminate(self, tmp_path):
+        """SIGTERM is the default action in a forked worker, even when
+        the scheduler's loop handles SIGTERM itself (as ``serve``
+        does)."""
+        scheduler = ClusterScheduler()
+
+        async def scenario():
+            async with serving(scheduler, serve_forever=True) as server:
+                asyncio.get_running_loop().add_signal_handler(
+                    signal.SIGTERM, server.request_shutdown
+                )
+                proc = service.spawn_worker(server.endpoint, "parked")
+                try:
+                    await until(lambda: "parked" in server._parked)
+                    proc.terminate()
+                    code = await asyncio.to_thread(proc.wait, 5.0)
+                finally:
+                    proc.kill()
+                    await asyncio.to_thread(proc.wait, 5.0)
+                assert code == -signal.SIGTERM
+                await until(lambda: not scheduler.workers["parked"].connected)
+
+        assert run_scenario(scenario) == []
