@@ -9,12 +9,13 @@ ingredients, which this package provides once:
 1. :mod:`repro.campaign.spec` — a campaign is a parameter grid over a
    registered experiment, expanded into jobs with deterministic per-job
    seeds (same spec ⇒ same seeds, forever).
-2. :mod:`repro.campaign.runner` — a fault-tolerant parallel runner on
-   ``concurrent.futures``: per-job timeouts, bounded retries with
-   backoff, and worker-crash recovery that records the failure and keeps
-   the campaign going.  The accounting lives in the one campaign engine,
+2. :mod:`repro.campaign.runner` — a fault-tolerant parallel runner over
+   forked worker processes: per-job timeouts, bounded retries with
+   backoff, and worker-crash recovery that records the failure, forks a
+   replacement worker and keeps the campaign going.  The accounting
+   lives in the one campaign engine,
    :class:`repro.cluster.scheduler.ClusterScheduler`, which the runner
-   drives in-process.
+   drives in-process through :func:`repro.cluster.service.run_cluster`.
 3. :mod:`repro.campaign.store` — one JSONL record per job plus a
    campaign manifest; append-only, so an interrupted campaign resumes by
    skipping jobs whose records already exist.
@@ -40,7 +41,7 @@ from repro.campaign.report import (
     render_report,
     render_status,
 )
-from repro.campaign.executor import InProcessExecutor, JobTimeout, WorkerCrash
+from repro.campaign.executor import JobTimeout, WorkerCrash
 from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import CampaignSpec, JobSpec, derive_seed
 from repro.campaign.store import (
@@ -57,7 +58,6 @@ __all__ = [
     "derive_seed",
     "CampaignRunner",
     "CampaignResult",
-    "InProcessExecutor",
     "JobTimeout",
     "WorkerCrash",
     "ResultStore",

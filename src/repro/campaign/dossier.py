@@ -24,8 +24,7 @@ Sections, in order:
 
 Sinks are auto-discovered under the campaign directory
 (:func:`discover_sinks`: ``obs.jsonl`` beside the manifest plus
-per-worker ``shard-*/obs.jsonl``, rotated generations included) or can
-be passed explicitly for sinks that live elsewhere.
+per-worker ``shard-*/obs.jsonl``) or can be passed explicitly for sinks that live elsewhere.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ from repro.campaign.store import ResultStore
 
 def discover_sinks(root) -> list[str]:
     """The obs sinks a campaign run conventionally leaves in its store:
-    ``<root>/obs.jsonl`` plus per-worker ``shard-*/obs.jsonl``.
-    Rotated ``.1`` generations ride along via ``expand_sinks``."""
+    ``<root>/obs.jsonl`` plus per-worker ``shard-*/obs.jsonl``."""
     from repro.obs.report import expand_sinks
 
     root = Path(root)

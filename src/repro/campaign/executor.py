@@ -1,21 +1,20 @@
 """One job attempt, executed wherever the work landed.
 
-This is the execution core shared by both transports of the one
-campaign engine (:class:`repro.cluster.scheduler.ClusterScheduler`):
-the single-host :class:`~repro.campaign.runner.CampaignRunner` ships
-:func:`run_attempt` into ``ProcessPoolExecutor`` workers, and cluster
-workers call it inside their own processes.  Either way the store
-record of a finished attempt comes from :func:`attempt_record`.
-Keeping it in one module is what makes the determinism contract cheap
-to state: a job's metrics are a pure function of
-``(experiment, params, seed)``, so the same payload yields
-bit-identical metrics no matter which executor ran it.
+This is the execution core of the one campaign engine
+(:class:`repro.cluster.scheduler.ClusterScheduler`): every cluster
+worker — forked by ``campaign run``/``cluster run`` or started as
+``repro cluster worker`` — calls :func:`run_attempt` on the payload
+its lease carries, and the store record of a finished attempt comes
+from :func:`attempt_record`.  Keeping it in one module is what makes
+the determinism contract cheap to state: a job's metrics are a pure
+function of ``(experiment, params, seed)``, so the same payload yields
+bit-identical metrics no matter which worker ran it.
 
-The payload is a plain JSON-able dict (picklable *and* wire-encodable):
+The payload is a plain JSON-able (wire-encodable) dict:
 
 ``job_id, experiment, params, seed, attempt, timeout_seconds`` plus the
-optional fault-injection fields ``inject_mode``/``allow_hard_crash``
-and an optional ``trace`` field — an obs trace context
+optional fault-injection field ``inject_mode`` and an optional
+``trace`` field — an obs trace context
 (:func:`repro.obs.tracectx.wire_context`) adopted for the duration of
 the attempt, so the job's spans parent to the campaign span of
 whichever process scheduled it.  ``trace`` never reaches the
@@ -46,8 +45,9 @@ class JobTimeout(Exception):
 
 
 class WorkerCrash(Exception):
-    """Stand-in for a hard worker death when crash isolation is off
-    (the in-process executor cannot survive a real ``os._exit``)."""
+    """A crash forced by the spec's fault-injection drill, recorded as
+    ``crashed`` (the worker survives; ``cluster run
+    --drill-kill-worker`` exercises real worker death)."""
 
 
 class InjectedFailure(Exception):
@@ -62,16 +62,9 @@ def alarm_supported() -> bool:
 
 
 def execute_payload(payload: dict) -> dict:
-    """Run one job attempt.  Executes inside a worker process (or inline
-    under the in-process executor); everything it touches must be
-    picklable and importable.
-    """
+    """Run one job attempt inside a worker process."""
     inject_mode = payload.get("inject_mode")
     if inject_mode == "crash":
-        if payload.get("allow_hard_crash"):
-            import os
-
-            os._exit(23)  # simulate a segfaulting worker
         raise WorkerCrash("injected worker crash")
     if inject_mode == "exception":
         raise InjectedFailure(
@@ -120,8 +113,8 @@ def execute_payload(payload: dict) -> dict:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
-        # Pool workers outlive jobs and are torn down without atexit
-        # hooks running reliably; snapshots are cumulative per pid, so
+        # Workers outlive jobs, and a killed one runs no exit hooks;
+        # snapshots are cumulative per pid, so
         # flushing after every job keeps the sink's last-per-pid merge
         # correct without double counting.
         obs.flush()
@@ -226,26 +219,3 @@ def attempt_record(payload: dict, trial: int, outcome: AttemptOutcome) -> JobRec
         timeout_enforced=outcome.timeout_enforced,
     )
 
-
-class InProcessExecutor:
-    """A drop-in executor that runs submissions synchronously.
-
-    Keeps tests (and debugging sessions) single-process while exercising
-    the engine's full retry/timeout/crash logic.
-    """
-
-    supports_crash_isolation = False
-
-    def submit(self, fn, *args, **kwargs):
-        """Execute immediately; return an already-resolved future."""
-        from concurrent.futures import Future
-
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 — mirrored into the future
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        """Nothing to tear down."""

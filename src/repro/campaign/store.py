@@ -436,7 +436,7 @@ def metrics_digest(records) -> str:
     ``duration_seconds``, ``finished_at``, ``timeout_enforced``,
     ``error``): metrics are a pure function of (experiment, params,
     seed), so the same spec must digest identically whether it ran on
-    the local pool, one worker, or N workers with a mid-run crash.
+    one worker or N workers with a mid-run crash.
     """
     if isinstance(records, dict):
         records = records.values()

@@ -20,10 +20,9 @@ experiment campaign — all from a shell.
     python -m repro campaign report runs/lzw
     python -m repro cluster run examples/specs/lzw_noise_sweep.json \
         --out runs/lzw-cluster --workers 4 --obs-shards
-    python -m repro cluster serve --listen unix:/tmp/repro-cluster.sock
-    python -m repro cluster submit examples/specs/lzw_noise_sweep.json \
-        --connect unix:/tmp/repro-cluster.sock --out runs/lzw-svc
-    python -m repro cluster status --connect unix:/tmp/repro-cluster.sock
+    python -m repro cluster run examples/specs/lzw_noise_sweep.json \
+        --out runs/lzw-remote --listen tcp:0.0.0.0:7633
+    python -m repro cluster worker --connect tcp:scheduler-host:7633
     python -m repro mitigate survey lzw --random 150
     python -m repro mitigate report lzw --size 120
     python -m repro obs report runs/lzw/obs.jsonl
@@ -342,107 +341,96 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_pieces(args: argparse.Namespace, spec=None):
-    """Build (spec, store, runner) from parsed campaign arguments."""
-    from repro.campaign import CampaignRunner, ResultStore
-    from repro.campaign.spec import CampaignSpec
+def _run_campaign(args: argparse.Namespace, spec, run) -> int:
+    """The shared tail of ``campaign run|resume`` and ``cluster run``:
+    check the experiment before anything is written, call ``run()``
+    (which returns the outcome counts), and map the outcome to the exit
+    code — 0 every job ok, 1 every job terminally failed, 3 partial
+    failure, 2 a usage or fleet error — so scripts/CI can tell the
+    cases apart."""
+    from repro.campaign import SpecMismatchError, get_experiment
+    from repro.cluster.service import FleetExitedError
 
-    sink = getattr(args, "obs", None)
-    if sink:
+    try:
+        get_experiment(spec.experiment)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    if args.obs:
         from repro import obs
 
-        # Enable here and export the sink path so spawned campaign
-        # worker processes activate from the environment and append to
-        # the same JSONL file.
-        os.environ[obs.ENV_SINK] = sink
-        obs.enable(sink_path=sink)
-    if spec is None:
-        spec = CampaignSpec.from_json_file(args.spec)
-    out = getattr(args, "out", None) or f"runs/{spec.name}"
-    store = ResultStore(out)
-    runner = CampaignRunner(
-        spec,
-        store,
-        workers=args.workers,
-        on_event=None if args.quiet else print,
-    )
-    return spec, store, runner
-
-
-def _campaign_exit_code(result) -> int:
-    """0 if every job succeeded, 1 if every job terminally failed,
-    3 on partial failure — so scripts/CI can tell the cases apart."""
-    failed = sum(v for k, v in result.counts.items() if k != "ok")
-    if not failed:
-        return 0
-    return 1 if result.counts.get("ok", 0) == 0 else 3
-
-
-def cmd_campaign_run(args: argparse.Namespace) -> int:
-    """Expand a spec file into jobs and run them in parallel."""
-    from repro.campaign import SpecMismatchError
-
-    spec, store, runner = _campaign_pieces(args)
-    print(
-        f"campaign {spec.name!r}: {spec.n_jobs()} jobs of "
-        f"{spec.experiment!r} -> {store.root} "
-        f"({args.workers} worker{'s' if args.workers != 1 else ''})"
-    )
+        # The scheduler runs in this process; workers append to the
+        # same file, so one sink holds the whole trace tree.
+        obs.enable(sink_path=args.obs)
     try:
-        result = runner.run(resume=args.resume)
-    except SpecMismatchError as exc:
+        counts = run()
+    except (SpecMismatchError, TimeoutError, FleetExitedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print(
             f"interrupted — finished jobs are checkpointed; continue "
-            f"with `python -m repro campaign resume {store.root}`",
+            f"with `python -m repro campaign resume {args.out}`",
             file=sys.stderr,
         )
         # The terminal delivers SIGINT to the whole process group; a
-        # second delivery during interpreter shutdown (while atexit
-        # joins the dead pool's threads) prints an ignorable traceback.
-        # The runner already flushed obs and the store fsyncs per
+        # second delivery during interpreter shutdown prints an
+        # ignorable traceback.  Obs is flushed and the store fsyncs per
         # record, so exit hard with the conventional SIGINT code.
         sys.stderr.flush()
         sys.stdout.flush()
         os._exit(130)
-    print(result.summary())
-    return _campaign_exit_code(result)
+    failed = sum(v for k, v in counts.items() if k not in ("ok", "skipped"))
+    if not failed:
+        return 0
+    return 1 if counts.get("ok", 0) == 0 else 3
+
+
+def _campaign_main(args: argparse.Namespace, spec, resume: bool) -> int:
+    """Run a campaign on ``args.workers`` forked workers."""
+    from repro.campaign import CampaignRunner, ResultStore
+
+    args.out = args.out or f"runs/{spec.name}"
+    runner = CampaignRunner(
+        spec,
+        ResultStore(args.out),
+        workers=args.workers,
+        on_event=None if args.quiet else print,
+    )
+    print(
+        f"campaign {spec.name!r}: {spec.n_jobs()} jobs of "
+        f"{spec.experiment!r} -> {runner.store.root} "
+        f"({args.workers} worker{'s' if args.workers != 1 else ''})"
+    )
+
+    def run() -> dict:
+        result = runner.run(resume=resume)
+        print(result.summary())
+        return result.counts
+
+    return _run_campaign(args, spec, run)
+
+
+def cmd_campaign_run(args: argparse.Namespace) -> int:
+    """Expand a spec file into jobs and run them in parallel."""
+    from repro.campaign.spec import CampaignSpec
+
+    return _campaign_main(
+        args, CampaignSpec.from_json_file(args.spec), resume=args.resume
+    )
 
 
 def cmd_campaign_resume(args: argparse.Namespace) -> int:
     """Continue an interrupted campaign from its result directory: the
     spec is rehydrated from the manifest and recorded jobs are skipped."""
-    from repro.campaign import ResultStore, SpecMismatchError
+    from repro.campaign import ResultStore
 
     store = ResultStore(args.dir)
     if not store.exists():
         print(f"error: no campaign manifest in {args.dir}", file=sys.stderr)
         return 2
     args.out = args.dir
-    try:
-        spec, store, runner = _campaign_pieces(args, spec=store.load_spec())
-        result = runner.run(resume=True)
-    except SpecMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print(
-            f"interrupted — finished jobs are checkpointed; continue "
-            f"with `python -m repro campaign resume {store.root}`",
-            file=sys.stderr,
-        )
-        # The terminal delivers SIGINT to the whole process group; a
-        # second delivery during interpreter shutdown (while atexit
-        # joins the dead pool's threads) prints an ignorable traceback.
-        # The runner already flushed obs and the store fsyncs per
-        # record, so exit hard with the conventional SIGINT code.
-        sys.stderr.flush()
-        sys.stdout.flush()
-        os._exit(130)
-    print(result.summary())
-    return _campaign_exit_code(result)
+    return _campaign_main(args, store.load_spec(), resume=True)
 
 
 def cmd_campaign_report(args: argparse.Namespace) -> int:
@@ -486,42 +474,25 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_exit_code(counts: dict) -> int:
-    """Same convention as local campaigns: 0 all ok, 1 all failed,
-    3 partial."""
-    failed = sum(
-        v for k, v in counts.items() if k in ("failed", "timeout", "crashed")
-    )
-    if not failed:
-        return 0
-    return 1 if counts.get("ok", 0) == 0 else 3
-
-
 def cmd_cluster_run(args: argparse.Namespace) -> int:
     """One-shot distributed run: this process schedules, N workers
     forked from it execute."""
-    from repro.campaign import SpecMismatchError
     from repro.campaign.spec import CampaignSpec
-    from repro.cluster import FleetExitedError, parse_endpoint, run_cluster
+    from repro.cluster import parse_endpoint, run_cluster
 
     spec = CampaignSpec.from_json_file(args.spec)
-    out = args.out or f"runs/{spec.name}"
+    args.out = args.out or f"runs/{spec.name}"
     endpoint = parse_endpoint(args.listen) if args.listen else None
-    if args.obs:
-        from repro import obs
-
-        # The scheduler runs in this process; workers append to the
-        # same file, so one sink holds the whole trace tree.
-        obs.enable(sink_path=args.obs)
     print(
         f"cluster campaign {spec.name!r}: {spec.n_jobs()} jobs of "
-        f"{spec.experiment!r} -> {out} ({args.workers} worker "
+        f"{spec.experiment!r} -> {args.out} ({args.workers} worker "
         f"process{'es' if args.workers != 1 else ''})"
     )
-    try:
+
+    def run() -> dict:
         outcome = run_cluster(
             spec,
-            out,
+            args.out,
             workers=args.workers,
             endpoint=endpoint,
             resume=args.resume,
@@ -533,24 +504,20 @@ def cmd_cluster_run(args: argparse.Namespace) -> int:
             on_event=None if args.quiet else print,
             deadline_seconds=args.deadline,
         )
-    except (SpecMismatchError, TimeoutError, FleetExitedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:  # unknown experiment
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    counts = outcome["counts"]
-    summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-    print(
-        f"cluster campaign: {summary or 'nothing to do'} "
-        f"in {outcome['elapsed_seconds']:.2f}s"
-    )
-    return _cluster_exit_code(counts)
+        counts = outcome["counts"]
+        summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
+        print(
+            f"cluster campaign: {summary or 'nothing to do'} "
+            f"in {outcome['elapsed_seconds']:.2f}s"
+        )
+        return counts
+
+    return _run_campaign(args, spec, run)
 
 
 def cmd_cluster_worker(args: argparse.Namespace) -> int:
-    """Run one worker process against a scheduler (a ``cluster serve``
-    fleet member, or a remote host's worker for any scheduler)."""
+    """Run one worker process against a scheduler (a remote host's
+    worker for a ``cluster run --listen`` scheduler)."""
     from repro.cluster import parse_endpoint, run_worker
 
     return run_worker(
@@ -560,118 +527,6 @@ def cmd_cluster_worker(args: argparse.Namespace) -> int:
         on_error=lambda line: print(line, file=sys.stderr),
         max_jobs=args.max_jobs,
     )
-
-
-def cmd_cluster_serve(args: argparse.Namespace) -> int:
-    """Run the scheduler as a long-lived campaign service."""
-    from repro.cluster import parse_endpoint, serve
-
-    if args.obs:
-        from repro import obs
-
-        # A service scheduler runs for days; cap the sink so it rotates
-        # (sink.jsonl -> sink.jsonl.1) instead of growing without bound.
-        obs.enable(sink_path=args.obs, max_sink_bytes=args.obs_max_bytes)
-    serve(
-        parse_endpoint(args.listen),
-        lease_seconds=args.lease_seconds,
-        heartbeat_seconds=args.heartbeat_seconds,
-        on_event=None if args.quiet else print,
-    )
-    return 0
-
-
-def _cluster_control(args: argparse.Namespace, message: dict):
-    """Send one control message; returns the reply or None on error."""
-    from repro.cluster import control_request, parse_endpoint
-
-    try:
-        return control_request(parse_endpoint(args.connect), message)
-    except (ConnectionRefusedError, FileNotFoundError, OSError) as exc:
-        print(
-            f"error: cannot reach scheduler at {args.connect}: {exc}",
-            file=sys.stderr,
-        )
-        return None
-
-
-def cmd_cluster_submit(args: argparse.Namespace) -> int:
-    """Queue a campaign on a running ``cluster serve`` scheduler."""
-    from repro.campaign.spec import CampaignSpec
-
-    spec = CampaignSpec.from_json_file(args.spec)
-    out = args.out or f"runs/{spec.name}"
-    reply = _cluster_control(
-        args,
-        {
-            "type": "submit",
-            "spec": spec.to_dict(),
-            "store": out,
-            "resume": args.resume,
-        },
-    )
-    if reply is None:
-        return 2
-    if reply.get("type") != "ok":
-        print(f"error: {reply.get('error', reply)}", file=sys.stderr)
-        return 2
-    print(f"submitted {reply['campaign_id']} -> {out}")
-    return 0
-
-
-def cmd_cluster_status(args: argparse.Namespace) -> int:
-    """Show campaigns and workers of a running scheduler."""
-    import json as _json
-
-    reply = _cluster_control(args, {"type": "status"})
-    if reply is None:
-        return 2
-    if args.json:
-        _json.dump(reply, sys.stdout, indent=2, sort_keys=True)
-        print()
-        return 0
-    campaigns = reply.get("campaigns", [])
-    workers = reply.get("workers", [])
-    if not campaigns:
-        print("(no campaigns submitted)")
-    for c in campaigns:
-        counts = ", ".join(
-            f"{v} {k}" for k, v in sorted(c.get("counts", {}).items())
-        )
-        print(
-            f"{c['campaign_id']:<28} {c['state']:<10} "
-            f"pending {c['pending']:>4}  leased {c['leased']:>3}  "
-            f"done {c['done']:>4}  [{counts or 'no outcomes yet'}] "
-            f"{c['elapsed_seconds']:.1f}s -> {c['store']}"
-        )
-    print(
-        f"workers: {sum(1 for w in workers if w.get('connected'))} connected, "
-        f"{len(workers)} seen"
-    )
-    return 0
-
-
-def cmd_cluster_cancel(args: argparse.Namespace) -> int:
-    """Cancel a queued/running campaign on the scheduler."""
-    reply = _cluster_control(
-        args, {"type": "cancel", "campaign_id": args.campaign_id}
-    )
-    if reply is None:
-        return 2
-    if reply.get("type") != "ok":
-        print(f"error: {reply.get('error', reply)}", file=sys.stderr)
-        return 2
-    print(f"cancelled {args.campaign_id}")
-    return 0
-
-
-def cmd_cluster_shutdown(args: argparse.Namespace) -> int:
-    """Ask a serving scheduler to drain and exit."""
-    reply = _cluster_control(args, {"type": "shutdown"})
-    if reply is None:
-        return 2
-    print("shutdown requested (scheduler drains running campaigns first)")
-    return 0
 
 
 def _load_obs_events(sink):
@@ -1535,7 +1390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cluster",
-        help="distributed campaigns: scheduler, workers, campaign service",
+        help="distributed campaigns: scheduler and workers",
     )
     clsub = p.add_subparsers(dest="cluster_command", required=True)
 
@@ -1588,54 +1443,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit after executing N jobs (test hook)")
     k.add_argument("--quiet", action="store_true")
     k.set_defaults(func=cmd_cluster_worker)
-
-    k = clsub.add_parser(
-        "serve",
-        help="long-lived campaign service (submit/status/cancel against it)",
-    )
-    k.add_argument("--listen", default="tcp:127.0.0.1:7633",
-                   help="endpoint to listen on (default tcp:127.0.0.1:7633)")
-    k.add_argument("--obs", metavar="SINK",
-                   help="record scheduler obs events to this JSONL file")
-    k.add_argument("--obs-max-bytes", type=int, metavar="N",
-                   help="rotate the sink (SINK -> SINK.1) when it "
-                        "would exceed N bytes — bounds disk use for a "
-                        "long-running service")
-    k.add_argument("--quiet", action="store_true")
-    add_cluster_tuning(k)
-    k.set_defaults(func=cmd_cluster_serve)
-
-    k = clsub.add_parser(
-        "submit", help="queue a campaign on a running scheduler"
-    )
-    k.add_argument("spec", help="path to the campaign spec (JSON)")
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
-    k.add_argument("--out", help="result directory (default runs/<name>)")
-    k.add_argument("--resume", action="store_true")
-    k.set_defaults(func=cmd_cluster_submit)
-
-    k = clsub.add_parser(
-        "status", help="campaigns and workers of a running scheduler"
-    )
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
-    k.add_argument("--json", action="store_true",
-                   help="raw status payload as JSON")
-    k.set_defaults(func=cmd_cluster_status)
-
-    k = clsub.add_parser("cancel", help="cancel a campaign by id")
-    k.add_argument("campaign_id", help="id from `cluster status`")
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
-    k.set_defaults(func=cmd_cluster_cancel)
-
-    k = clsub.add_parser(
-        "shutdown", help="drain and stop a serving scheduler"
-    )
-    k.add_argument("--connect", default="tcp:127.0.0.1:7633",
-                   help="scheduler endpoint")
-    k.set_defaults(func=cmd_cluster_shutdown)
 
     p = sub.add_parser(
         "obs",

@@ -8,8 +8,8 @@ scheduler never replies to them, so a single reader loop on each side
 suffices and messages can never interleave).
 
 A ``lease`` the scheduler cannot serve yet is *parked*, not refused:
-the reply is withheld until a job becomes eligible (a submit, a
-requeue, a retry backoff expiring) or the fleet drains, so an idle
+the reply is withheld until a job becomes eligible (a requeue, a
+retry backoff expiring) or the fleet drains, so an idle
 worker simply blocks on its read and nothing polls.  The scheduler
 keeps reading the parked worker's heartbeats and ``goodbye`` meanwhile.
 
@@ -47,17 +47,15 @@ TCP connections set ``TCP_NODELAY``: a worker writes ``result`` and
 ``lease`` back to back, and Nagle's algorithm would otherwise hold the
 ``lease`` until the scheduler's delayed ACK fires.
 
-Control client → scheduler (the ``repro cluster submit|status|cancel``
-commands use the same stream)::
-
-    submit     {spec, store, resume}           -> ok {campaign_id} | error
-    status     {}                              -> status {…}
-    cancel     {campaign_id}                   -> ok | error
-    shutdown   {}                              -> ok
+Any other ``type`` is a protocol error: the scheduler closes that one
+connection and nothing else.  That includes ``submit``, ``status``,
+``cancel`` and ``shutdown``, the control messages of the retired
+service mode.
 
 Determinism note: nothing on the wire feeds the job's metrics — the
-``payload`` carries the same ``(experiment, params, seed)`` triple a
-local pool slot gets, so transport cannot perturb results.
+``payload`` carries the ``(experiment, params, seed)`` triple and
+nothing else the experiment reads, so transport cannot perturb
+results.
 """
 
 from __future__ import annotations
@@ -84,12 +82,6 @@ MSG_GOODBYE = "goodbye"
 MSG_REGISTERED = "registered"
 MSG_JOB = "job"
 MSG_DRAIN = "drain"
-# control plane
-MSG_SUBMIT = "submit"
-MSG_STATUS = "status"
-MSG_CANCEL = "cancel"
-MSG_SHUTDOWN = "shutdown"
-MSG_OK = "ok"
 MSG_ERROR = "error"
 
 

@@ -2,11 +2,10 @@
 
 Jobs sit in a pending list until any worker asks for work (that *is*
 the work stealing: there is no per-worker assignment, the next free
-worker — a cluster worker or a local pool slot — takes the next
-eligible job).  A leased job is invisible to other workers until its
-lease expires or its worker disconnects (for a pool slot: the pool
-broke); then the scheduler charges it one attempt and either requeues
-it with exponential backoff or declares it terminally crashed.
+worker takes the next eligible job).  A leased job is invisible to
+other workers until its lease expires or its worker disconnects; then
+the scheduler charges it one attempt and either requeues it with
+exponential backoff or declares it terminally crashed.
 
 The clock is injected so every lease-expiry path is unit-testable
 without sleeping.
@@ -154,11 +153,6 @@ class LeaseQueue:
         """Record a terminal outcome (ok or exhausted failure)."""
         self._done.add(job_id)
 
-    def unlease(self, job_id: str) -> None:
-        """Put a leased job that never started back at the head of the
-        queue without charging an attempt (its executor refused it)."""
-        self._pending.insert(0, self._leases.pop(job_id).queued)
-
     def retry(self, queued: QueuedJob) -> float:
         """Requeue a failed attempt with exponential backoff; returns
         the applied delay.  Caller must have checked
@@ -180,13 +174,6 @@ class LeaseQueue:
         for lease in expired:
             del self._leases[lease.queued.job.job_id]
         return expired
-
-    def clear_pending(self) -> int:
-        """Drop every pending job (campaign cancellation); returns how
-        many were dropped.  Live leases are left to expire or resolve."""
-        dropped = len(self._pending)
-        self._pending.clear()
-        return dropped
 
     def release_worker(self, worker_id: str) -> list[Lease]:
         """Remove and return every lease a (disconnected) worker held.

@@ -4,29 +4,21 @@
 decided.  It owns job expansion, the lease queue, retry with
 exponential backoff, the terminal give-up, crash charging, the
 once-per-campaign unenforceable-budget warning, progress lines, trace
-propagation and finalize.  Its two transports only move payloads and
-outcomes:
+propagation and finalize.  Its one transport,
+:mod:`repro.cluster.service`, only moves payloads and outcomes over
+sockets: the workers ``campaign run`` and ``cluster run`` fork, and any
+``repro cluster worker`` that joins a listening run, write terminal
+records to their own ``shard-<worker_id>/`` sub-store, merged at
+finalize.
 
-- :class:`repro.campaign.runner.CampaignRunner` drives it in-process,
-  one registered worker per ``ProcessPoolExecutor`` slot, and writes
-  terminal records straight into the main ``results.jsonl``;
-- :mod:`repro.cluster.service` drives it over sockets, and cluster
-  workers write terminal records to their own ``shard-<worker_id>/``
-  sub-store, merged at finalize.
-
-Crash recovery is one rule for both: a lease that expires, a worker
-whose connection drops, or a pool slot lost with a broken pool charges
-the job exactly one attempt through :meth:`ClusterScheduler.disconnect_worker`
-or :meth:`ClusterScheduler.tick`.
+Crash recovery is one rule: a lease that expires or a worker whose
+connection drops charges the job exactly one attempt through
+:meth:`ClusterScheduler.tick` or
+:meth:`ClusterScheduler.disconnect_worker`.
 
 The class is deliberately synchronous with an injected clock, so every
-failure path (lease expiry, duplicate completion, mid-campaign cancel)
-unit-tests without sockets or sleeps.
-
-Multiple campaigns queue FIFO and drain through the same worker fleet:
-a lease request scans campaigns in submission order and takes the
-first eligible job, which is what lets ``repro cluster serve`` accept
-a second submission while the first is still running.
+failure path (lease expiry, duplicate completion, a worker dying
+mid-job) unit-tests without sockets or sleeps.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ from repro.cluster.queue import Lease, LeaseQueue, QueuedJob
 
 STATE_RUNNING = "running"
 STATE_DONE = "done"
-STATE_CANCELLED = "cancelled"
 
 SCHEDULER_SHARD = "scheduler"
 
@@ -171,8 +162,8 @@ class ClusterScheduler:
             started_at=self.clock(),
         )
         if obs.enabled():
-            # One trace per campaign; join an inherited process trace
-            # (REPRO_OBS_TRACE) if the scheduler itself runs inside one.
+            # One trace per campaign; join the process trace if the
+            # scheduler runs inside one (the runner's campaign.run).
             exec_.trace_id = (
                 tracectx.current_trace_id() or tracectx.new_trace_id()
             )
@@ -200,20 +191,7 @@ class ClusterScheduler:
             self._finalize(exec_)
         return campaign_id
 
-    def cancel(self, campaign_id: str) -> bool:
-        """Drop a campaign's pending jobs and finalize what it has."""
-        exec_ = self.campaigns.get(campaign_id)
-        if exec_ is None or exec_.state != STATE_RUNNING:
-            return False
-        dropped = exec_.queue.clear_pending()
-        exec_.counts["cancelled"] = dropped + exec_.queue.leased_count
-        exec_.state = STATE_CANCELLED
-        self._finalize(exec_, state=STATE_CANCELLED)
-        obs.counter_add("cluster.campaigns_cancelled")
-        self._emit(f"cancelled {campaign_id} ({dropped} jobs dropped)")
-        return True
-
-    def _finalize(self, exec_: CampaignExec, state: str = STATE_DONE) -> None:
+    def _finalize(self, exec_: CampaignExec) -> None:
         """Merge shards into the main store and stamp the manifest —
         after this, ``campaign report``/``diag``/``obs`` read the merged
         directory exactly as they read a single-host run's."""
@@ -224,7 +202,7 @@ class ClusterScheduler:
             counts = dict(exec_.counts)
             counts["skipped"] = exec_.skipped
             exec_.store.finalize(counts)
-        exec_.state = state
+        exec_.state = STATE_DONE
         exec_.finished_at = self.clock()
         if exec_.span_id:
             obs.emit_span_event(
@@ -234,7 +212,7 @@ class ClusterScheduler:
                 span_id=exec_.span_id,
                 parent=exec_.span_parent,
                 trace=exec_.trace_id,
-                status="ok" if state == STATE_DONE else state,
+                status="ok",
                 campaign=exec_.spec.name,
                 campaign_id=exec_.campaign_id,
                 experiment=exec_.spec.experiment,
@@ -243,7 +221,7 @@ class ClusterScheduler:
             "info",
             "campaign finalized",
             campaign_id=exec_.campaign_id,
-            state=state,
+            state=STATE_DONE,
             merged_records=merged,
             **{k: v for k, v in counts.items()},
         )
@@ -362,13 +340,6 @@ class ClusterScheduler:
             job, queued.position, queued.attempt
         ):
             payload["inject_mode"] = inject.mode
-            # A cluster worker must not hard-exit on an injected crash:
-            # unlike a pool worker there is nothing to respawn it, so
-            # the drill surfaces as WorkerCrash (the in-process
-            # executor's convention).  Real worker death is exercised
-            # by the SIGKILL drill; the local runner re-enables hard
-            # exits for executors that isolate crashes.
-            payload["allow_hard_crash"] = False
         return payload
 
     def _job_message(self, exec_: CampaignExec, lease: Lease) -> dict:
@@ -524,40 +495,3 @@ class ClusterScheduler:
             if exec_.queue.drained():
                 self._finalize(exec_)
         return expired
-
-    # -- introspection ---------------------------------------------------
-    def status_payload(self) -> dict:
-        """The ``cluster status`` wire payload."""
-        now = self.clock()
-        return {
-            "campaigns": [
-                {
-                    "campaign_id": e.campaign_id,
-                    "name": e.spec.name,
-                    "experiment": e.spec.experiment,
-                    "state": e.state,
-                    "store": str(e.store.root),
-                    "pending": e.queue.pending_count,
-                    "leased": e.queue.leased_count,
-                    "done": e.queue.done_count,
-                    "skipped": e.skipped,
-                    "retries": e.retries,
-                    "counts": dict(e.counts),
-                    "elapsed_seconds": (
-                        (e.finished_at or now) - e.started_at
-                    ),
-                }
-                for cid in self._order
-                for e in (self.campaigns[cid],)
-            ],
-            "workers": [
-                {
-                    "worker_id": w.worker_id,
-                    "pid": w.pid,
-                    "connected": w.connected,
-                    "jobs_done": w.jobs_done,
-                    "last_seen_seconds_ago": max(0.0, now - w.last_seen),
-                }
-                for w in self.workers.values()
-            ],
-        }

@@ -1,36 +1,30 @@
 """Transport and process management around the scheduler core.
 
-Three entry points, all thin shells over
+Two entry points, both thin shells over
 :class:`repro.cluster.scheduler.ClusterScheduler`:
 
 - :class:`SchedulerServer` — an asyncio JSON-lines server speaking
   :mod:`repro.cluster.protocol` on TCP or a Unix socket.  It is
   event-driven: a ``lease`` nothing can serve yet is parked, and every
-  event that can change the answer (submit, result, disconnect, cancel,
-  shutdown, a lease expiring, a retry backoff running out) re-runs
+  event that can change the answer (result, disconnect, a lease
+  expiring, a retry backoff running out) re-runs
   :meth:`SchedulerServer.dispatch`, which hands parked workers their
   ``job`` or ``drain``.  The only timers are the backoff wake-up and
   the reaper task driving ``scheduler.tick()`` (lease expiry — crash
-  recovery, off the critical path).
-- :func:`run_cluster` — the one-shot ``repro cluster run`` front end:
-  submit one campaign, fork N local workers from this process
-  (:func:`spawn_worker`), wait until the campaign finalizes (or every
-  worker has exited, or the deadline passes), reap the workers.
-  Forking skips a fresh interpreter's start-up and imports, which
-  used to dominate a small campaign's wall time.
+  recovery, off the critical path).  Malformed messages (undecodable,
+  oversized, a missing or mistyped field, an unknown type) close the
+  sender's connection and nothing else.
+- :func:`run_cluster` — the one local transport, behind both
+  ``repro campaign run`` and ``repro cluster run``: submit one
+  campaign, fork N local workers from this process
+  (:func:`spawn_worker`), replace a worker that a signal kills while
+  the campaign still runs, wait until the campaign finalizes (or the
+  fleet is gone, or the deadline passes), reap the workers.  Forking
+  skips a fresh interpreter's start-up and imports.
   ``drill_kill_worker`` SIGKILLs the first worker right after the Nth
   result — the crash-recovery drill the CI smoke and the integration
-  tests run.
-- :func:`control_request` — the synchronous client the
-  ``submit``/``status``/``cancel``/``shutdown`` commands use.
-
-Service mode (``repro cluster serve``) is the same server with
-``serve_forever=True``: idle workers stay parked instead of drained, so
-campaigns submitted later drain through the already-connected fleet.
-Its workers are ``repro cluster worker`` processes, started by hand or
-on remote hosts.  Malformed messages (undecodable, oversized, a
-missing or mistyped field) close the sender's connection and nothing
-else.
+  tests run.  With ``endpoint`` set, ``repro cluster worker``
+  processes on other hosts can join the same campaign.
 """
 
 from __future__ import annotations
@@ -47,15 +41,15 @@ from repro import obs
 from repro.campaign.experiments import get_experiment
 from repro.campaign.spec import CampaignSpec
 from repro.cluster import protocol
-from repro.cluster.protocol import Endpoint, MessageStream, ProtocolError
+from repro.cluster.protocol import Endpoint, ProtocolError
 from repro.cluster.scheduler import ClusterScheduler
 from repro.cluster.worker import run_worker
 from repro.obs import tracectx
 
 
 class FleetExitedError(RuntimeError):
-    """Every worker of a one-shot run exited while its campaign was
-    still running, so nothing is left to finish it."""
+    """No worker of a local run is left while its campaign is still
+    running: each exited, or signal deaths used up the respawn bound."""
 
 
 def _field(message: dict, name: str, convert=str, default=None):
@@ -82,8 +76,6 @@ class SchedulerServer:
         endpoint: where to listen; for TCP, port ``0`` picks an
             ephemeral port (read the bound one from ``self.endpoint``
             after :meth:`start`).
-        serve_forever: service mode — keep idle workers parked instead
-            of draining them when no campaign is active.
         tick_interval: reaper cadence (lease expiry, finalize).
         on_result: called after each worker ``result`` is applied.
     """
@@ -92,21 +84,17 @@ class SchedulerServer:
         self,
         scheduler: ClusterScheduler,
         endpoint: Endpoint,
-        serve_forever: bool = False,
         tick_interval: float = 0.1,
         on_result: Optional[Callable[[], None]] = None,
     ) -> None:
         self.scheduler = scheduler
         self.endpoint = endpoint
-        self.serve_forever = serve_forever
         self.tick_interval = tick_interval
         self._on_result = on_result
         self._server: Optional[asyncio.AbstractServer] = None
         self._reaper: Optional[asyncio.Task] = None
-        self._shutdown_requested = False
         # Set once no campaign is running and the fleet is told to
-        # drain: at once in one-shot mode, after ``shutdown`` in
-        # service mode.
+        # drain.
         self.draining = asyncio.Event()
         # Parked lease requests, oldest first: worker_id -> writer.
         self._parked: dict[str, asyncio.StreamWriter] = {}
@@ -158,16 +146,6 @@ class SchedulerServer:
             except OSError:
                 pass
 
-    def request_shutdown(self) -> None:
-        """Stop once every campaign has drained (``shutdown``, SIGTERM)."""
-        self._shutdown_requested = True
-        self.dispatch()
-
-    async def serve_until_shutdown(self) -> None:
-        """Block until a shutdown is requested and every campaign has
-        finished draining."""
-        await self.draining.wait()
-
     async def _reap_loop(self) -> None:
         while True:
             if self.scheduler.tick():
@@ -187,9 +165,7 @@ class SchedulerServer:
             self._parked.pop(worker_id).write(
                 protocol.encode_message({"type": protocol.MSG_JOB, **job})
             )
-        if not self.scheduler.active() and (
-            self._shutdown_requested or not self.serve_forever
-        ):
+        if not self.scheduler.active():
             drain = protocol.encode_message({"type": protocol.MSG_DRAIN})
             for writer in self._parked.values():
                 writer.write(drain)
@@ -261,36 +237,6 @@ class SchedulerServer:
                     self.dispatch()
                 elif kind == protocol.MSG_GOODBYE:
                     break
-                elif kind == protocol.MSG_SUBMIT:
-                    await self._handle_submit(writer, message)
-                elif kind == protocol.MSG_STATUS:
-                    await self._send(
-                        writer,
-                        {
-                            "type": protocol.MSG_STATUS,
-                            **self.scheduler.status_payload(),
-                        },
-                    )
-                elif kind == protocol.MSG_CANCEL:
-                    ok = self.scheduler.cancel(
-                        str(message.get("campaign_id", ""))
-                    )
-                    self.dispatch()
-                    await self._send(
-                        writer,
-                        {"type": protocol.MSG_OK}
-                        if ok
-                        else {
-                            "type": protocol.MSG_ERROR,
-                            "error": (
-                                f"no running campaign "
-                                f"{message.get('campaign_id')!r}"
-                            ),
-                        },
-                    )
-                elif kind == protocol.MSG_SHUTDOWN:
-                    self.request_shutdown()
-                    await self._send(writer, {"type": protocol.MSG_OK})
                 else:
                     raise ProtocolError(f"unknown message type {kind!r}")
         except (ProtocolError, OSError, asyncio.IncompleteReadError):
@@ -313,48 +259,6 @@ class SchedulerServer:
             except OSError:
                 pass
             del self._connections[writer]
-
-    async def _handle_submit(
-        self, writer: asyncio.StreamWriter, message: dict
-    ) -> None:
-        try:
-            spec = CampaignSpec.from_dict(message["spec"])
-            campaign_id = self.scheduler.submit(
-                spec,
-                message["store"],
-                resume=bool(message.get("resume", False)),
-            )
-        except (KeyError, TypeError, ValueError, OSError) as exc:
-            await self._send(
-                writer,
-                {
-                    "type": protocol.MSG_ERROR,
-                    "error": f"{type(exc).__name__}: {exc}",
-                },
-            )
-            return
-        self.dispatch()
-        await self._send(
-            writer, {"type": protocol.MSG_OK, "campaign_id": campaign_id}
-        )
-
-
-# -- synchronous control client -----------------------------------------
-def control_request(
-    endpoint: Endpoint, message: dict, timeout: float = 30.0
-) -> dict:
-    """One request/response exchange with a running scheduler."""
-    sock = endpoint.connect(timeout=timeout)
-    sock.settimeout(timeout)
-    stream = MessageStream(sock)
-    try:
-        stream.send(message)
-        reply = stream.recv()
-    finally:
-        stream.close()
-    if reply is None:
-        raise ProtocolError("scheduler closed the connection without a reply")
-    return reply
 
 
 # -- one-shot local cluster run -----------------------------------------
@@ -482,7 +386,7 @@ def run_cluster(
     obs_sink: Optional[str] = None,
     drill_kill_worker: Optional[int] = None,
     on_event: Optional[Callable[[str], None]] = None,
-    deadline_seconds: float = 600.0,
+    deadline_seconds: Optional[float] = 600.0,
 ) -> dict:
     """Run one campaign on a local fleet of workers forked from this
     process (:func:`spawn_worker`).
@@ -491,10 +395,17 @@ def run_cluster(
     worker inherits it already imported, and an unknown experiment
     raises :class:`KeyError` before anything is written.
     Blocks until the campaign finalizes, reaps the workers, and
-    returns the outcome counts.  Raises :class:`TimeoutError` when the
-    deadline passes first, and :class:`FleetExitedError` (naming the
-    exit codes) as soon as every worker has exited with the campaign
-    still running.
+    returns the outcome counts.
+
+    A worker that a signal kills while the campaign still runs is
+    replaced by a fresh fork under the next free id (``w<N>``), so one
+    bad job never kills a campaign, even with one worker.  Replacements
+    are bounded by the campaign's attempt budget (pending jobs times
+    ``max_retries + 1``).  Raises :class:`FleetExitedError` (naming the
+    exit codes) as soon as no worker is left with the campaign still
+    running — the workers exited with an exit code, or signal deaths
+    used up the bound — and :class:`TimeoutError` when
+    ``deadline_seconds`` (``None``: no deadline) pass first.
 
     ``drill_kill_worker=N`` SIGKILLs the first worker right after the
     Nth job completes — the lease/disconnect recovery drill.
@@ -514,9 +425,17 @@ def run_cluster(
     )
     campaign_id = scheduler.submit(spec, store_root, resume=resume)
     exec_ = scheduler.campaigns[campaign_id]
+    respawns_left = exec_.queue.pending_count * (spec.max_retries + 1)
+
+    def emit(message: str) -> None:
+        if on_event is not None:
+            on_event(message)
 
     async def _drive() -> dict:
-        procs: list[ForkedWorker] = []
+        nonlocal respawns_left
+        loop = asyncio.get_running_loop()
+        procs: list[ForkedWorker] = []  # index i runs as worker w<i>
+        exits: dict[asyncio.Future, int] = {}  # live worker's wait -> i
         drilled = False
 
         def drill() -> None:
@@ -531,11 +450,10 @@ def run_cluster(
             drilled = True
             procs[0].kill()
             obs.counter_add("cluster.drill_kills")
-            if on_event is not None:
-                on_event(
-                    f"drill: SIGKILLed worker w0 after "
-                    f"{exec_.queue.done_count} results"
-                )
+            emit(
+                f"drill: SIGKILLed worker w0 after "
+                f"{exec_.queue.done_count} results"
+            )
 
         server = SchedulerServer(
             scheduler,
@@ -543,31 +461,51 @@ def run_cluster(
             on_result=drill,
         )
         await server.start()
+
+        def start_worker() -> str:
+            # A respawn forks while executor threads sit in waitpid on
+            # the other workers; they hold no lock the child touches.
+            worker_id = f"w{len(procs)}"
+            sink = obs_sink
+            if obs_shards:
+                shard_root = exec_.store.shard_store(worker_id).root
+                shard_root.mkdir(parents=True, exist_ok=True)
+                sink = str(shard_root / "obs.jsonl")
+            procs.append(spawn_worker(server.endpoint, worker_id, obs_sink=sink))
+            exits[loop.run_in_executor(None, procs[-1].wait)] = len(procs) - 1
+            return worker_id
+
         draining = asyncio.ensure_future(server.draining.wait())
+        deadline = (
+            None if deadline_seconds is None else loop.time() + deadline_seconds
+        )
         try:
-            for index in range(max(1, workers)):
-                worker_id = f"w{index}"
-                sink = obs_sink
-                if obs_shards:
-                    shard_root = exec_.store.shard_store(worker_id).root
-                    shard_root.mkdir(parents=True, exist_ok=True)
-                    sink = str(shard_root / "obs.jsonl")
-                procs.append(
-                    spawn_worker(server.endpoint, worker_id, obs_sink=sink)
+            # A campaign with nothing left to run finalized at submit.
+            for _ in range(max(1, workers) if scheduler.active() else 0):
+                start_worker()
+            while exits and not draining.done():
+                done, _ = await asyncio.wait(
+                    {draining, *exits},
+                    timeout=(
+                        None if deadline is None
+                        else max(0.0, deadline - loop.time())
+                    ),
+                    return_when=asyncio.FIRST_COMPLETED,
                 )
-            loop = asyncio.get_running_loop()
-            fleet_exited = asyncio.gather(
-                *(loop.run_in_executor(None, proc.wait) for proc in procs)
-            )
-            done, _ = await asyncio.wait(
-                {draining, fleet_exited},
-                timeout=deadline_seconds,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if not done:
-                raise TimeoutError(
-                    f"cluster run exceeded {deadline_seconds}s deadline"
-                )
+                if not done:
+                    raise TimeoutError(
+                        f"cluster run exceeded {deadline_seconds}s deadline"
+                    )
+                for exited in done & exits.keys():
+                    index = exits.pop(exited)
+                    code = procs[index].returncode
+                    if code < 0 and scheduler.active() and respawns_left > 0:
+                        respawns_left -= 1
+                        obs.counter_add("cluster.workers_respawned")
+                        emit(
+                            f"worker w{index} killed by signal {-code}; "
+                            f"respawned as {start_worker()}"
+                        )
             if scheduler.active():
                 codes = ", ".join(
                     f"w{index}={proc.returncode}"
@@ -578,7 +516,8 @@ def run_cluster(
                     f"(exit codes: {codes})"
                 )
             # Campaign finalized; let workers see the drain reply.
-            await asyncio.wait({fleet_exited}, timeout=10.0)
+            if exits:
+                await asyncio.wait(set(exits), timeout=10.0)
         finally:
             draining.cancel()
             for proc in procs:
@@ -605,41 +544,3 @@ def run_cluster(
         }
 
     return asyncio.run(_drive())
-
-
-def serve(
-    endpoint: Endpoint,
-    lease_seconds: float = 30.0,
-    heartbeat_seconds: float = 5.0,
-    on_event: Optional[Callable[[str], None]] = None,
-) -> None:
-    """Run the scheduler as a long-lived service (``cluster serve``).
-
-    Campaigns arrive via ``cluster submit``; a ``shutdown`` control
-    message stops the loop once every campaign has drained.  SIGTERM
-    and SIGINT trigger the same graceful path.
-    """
-    scheduler = ClusterScheduler(
-        lease_seconds=lease_seconds,
-        heartbeat_seconds=heartbeat_seconds,
-        on_event=on_event,
-    )
-
-    async def _serve() -> None:
-        server = SchedulerServer(scheduler, endpoint, serve_forever=True)
-        await server.start()
-        if on_event is not None:
-            on_event(f"cluster scheduler serving on {server.endpoint}")
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, server.request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                pass
-        try:
-            await server.serve_until_shutdown()
-        finally:
-            await server.stop()
-            obs.flush()
-
-    asyncio.run(_serve())

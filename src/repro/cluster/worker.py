@@ -21,10 +21,11 @@ Record-writing split (the determinism-critical part):
 - a worker that dies mid-job writes nothing, and the scheduler's lease
   expiry / disconnect handling charges the attempt.
 
-Two kinds of process run :func:`run_worker`: ``repro cluster worker``
-(a fresh interpreter, for ``cluster serve`` fleets and remote hosts)
-and the workers ``repro cluster run`` forks from its scheduler process
-(:func:`repro.cluster.service.spawn_worker`).
+Two kinds of process run :func:`run_worker`: the workers ``repro
+campaign run`` and ``repro cluster run`` fork from their scheduler
+process (:func:`repro.cluster.service.spawn_worker`), and ``repro
+cluster worker`` (a fresh interpreter, for remote hosts joining a
+``cluster run --listen`` scheduler).
 
 Observability: a ``cluster worker`` process self-activates from the
 ``REPRO_OBS`` environment variable at import (the standard obs
@@ -102,10 +103,9 @@ class ClusterWorker:
     def _run_job(self, stream: MessageStream, message: dict) -> None:
         payload = message["payload"]
         job_id = message["job_id"]
-        # Adopt the campaign's trace for exactly this job: a parked
-        # worker serves many campaigns, so the context is per-lease,
-        # not per-process.  The job's spans (and the shard store's)
-        # then parent to the scheduler's campaign span.
+        # Adopt the campaign's trace for exactly this job, so the
+        # job's spans (and the shard store's) parent to the
+        # scheduler's campaign span.
         with tracectx.adopted(message.get("trace")):
             outcome = run_attempt(payload)
             if outcome.ok or message.get("final"):

@@ -20,23 +20,22 @@ Enable programmatically::
     with obs.span("campaign.job", job_id="..."):
         obs.counter_add("campaign.attempts")
 
-or from the environment (inherited by campaign worker processes)::
+or from the environment (how a ``repro cluster worker`` on another
+host joins a campaign's sink)::
 
-    REPRO_OBS=run.jsonl REPRO_OBS_LEVEL=debug python -m repro campaign run ...
+    REPRO_OBS=run.jsonl REPRO_OBS_LEVEL=debug python -m repro cluster worker ...
 
 Cross-process causal tracing lives in :mod:`repro.obs.tracectx`: a
-campaign installs a ``trace_id`` and exports it (``REPRO_OBS_TRACE``,
-or the ``trace`` field on cluster lease messages) so scheduler, worker,
-and shard-store spans stitch into one tree — rendered by ``obs report
+campaign installs a ``trace_id`` and carries it in the ``trace`` field
+of every lease message, so scheduler, worker, and shard-store spans
+stitch into one tree — rendered by ``obs report
 --trace`` and exportable to Perfetto via :mod:`repro.obs.export`
 (``obs export --format chrome-trace``).
 """
 
 from repro.obs.core import (
     ENV_LEVEL,
-    ENV_MAX_BYTES,
     ENV_SINK,
-    ENV_TRACE,
     Histogram,
     Logger,
     Span,
@@ -56,6 +55,7 @@ from repro.obs.core import (
     publish_metrics,
     recent,
     reset,
+    sink_path,
     span,
     warn_once,
 )
@@ -70,7 +70,6 @@ from repro.obs.report import (
     format_event,
     load_events,
     load_events_multi,
-    logical_sink,
     merge_events,
     merge_warnings,
     render_report,
@@ -91,9 +90,7 @@ from repro.obs.watch import (
 
 __all__ = [
     "ENV_LEVEL",
-    "ENV_MAX_BYTES",
     "ENV_SINK",
-    "ENV_TRACE",
     "Histogram",
     "Logger",
     "Span",
@@ -114,7 +111,6 @@ __all__ = [
     "load_events",
     "load_events_multi",
     "log",
-    "logical_sink",
     "make_follower",
     "MultiSinkFollower",
     "merge_events",
@@ -131,6 +127,7 @@ __all__ = [
     "render_trace",
     "render_watch",
     "reset",
+    "sink_path",
     "span",
     "sparkline",
     "SinkFollower",

@@ -19,24 +19,20 @@ shape the whole design:
 Events (finished spans, log lines, counter snapshots) land in a bounded
 in-memory ring — always inspectable via :func:`recent` — and, when a
 sink path is configured, as JSONL lines rendered back by
-``python -m repro obs report|tail|export``.  Worker processes inherit
-activation through the ``REPRO_OBS`` environment variable and append to
-the same sink (one ``write`` call per line).
+``python -m repro obs report|tail|export``.  A process started with the
+``REPRO_OBS`` environment variable (a ``repro cluster worker`` on a
+remote host) activates at import; forked campaign workers are handed
+the parent's sink.  Processes sharing a sink append whole lines (one
+``write`` call per line).
 
-Two cross-process extensions ride the same machinery:
-
-* **Trace context.**  A process may carry a ``trace_id`` and a *remote
-  parent* span id (inherited via ``REPRO_OBS_TRACE`` or a cluster job
-  message — see :mod:`repro.obs.tracectx`).  Root spans adopt the
-  remote parent, and every span event is stamped with the trace id, so
-  spans from a scheduler, its workers, and their shard stores merge
-  into one causal tree.  Trace ids come from ``uuid4`` (OS entropy),
-  never from ``random``/numpy — the non-perturbation contract holds.
-* **Sink rotation.**  Long-running services (``cluster serve``) can cap
-  the sink: when a write would push the file past ``max_sink_bytes``
-  the current sink is renamed to ``<sink>.1`` and a fresh file starts.
-  Rotation happens on whole-line boundaries, so followers and the
-  report reader never see torn lines.
+**Trace context** rides the same machinery: a process may carry a
+``trace_id`` and a *remote parent* span id (adopted per job from the
+campaign lease message — see :mod:`repro.obs.tracectx`).  Root spans
+adopt the remote parent, and every span event is stamped with the
+trace id, so spans from a scheduler, its workers, and their shard
+stores merge into one causal tree.  Trace ids come from ``uuid4`` (OS
+entropy), never from ``random``/numpy — the non-perturbation contract
+holds.
 """
 
 from __future__ import annotations
@@ -55,8 +51,6 @@ LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 ENV_SINK = "REPRO_OBS"
 ENV_LEVEL = "REPRO_OBS_LEVEL"
-ENV_TRACE = "REPRO_OBS_TRACE"
-ENV_MAX_BYTES = "REPRO_OBS_MAX_BYTES"
 
 DEFAULT_RING_SIZE = 4096
 
@@ -286,8 +280,6 @@ class ObsState:
         self.ring: deque = deque(maxlen=DEFAULT_RING_SIZE)
         self.trace_id: Optional[str] = None
         self.remote_parent: Optional[str] = None
-        self.max_sink_bytes: Optional[int] = None
-        self._sink_bytes = 0
         self._sink_handle = None
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -301,14 +293,8 @@ class ObsState:
         sink_path: Optional[str] = None,
         level: str = "info",
         ring_size: int = DEFAULT_RING_SIZE,
-        max_sink_bytes: Optional[int] = None,
     ) -> None:
-        """Turn recording on (idempotent; re-enabling swaps the sink).
-
-        ``max_sink_bytes``, when given, caps the sink file: a write
-        that would exceed it rotates ``sink`` → ``sink.1`` first.
-        Passing ``None`` leaves any previously-set cap in place.
-        """
+        """Turn recording on (idempotent; re-enabling swaps the sink)."""
         with self._lock:
             self.level = LEVELS.get(level, LEVELS["info"])
             if ring_size != self.ring.maxlen:
@@ -317,8 +303,6 @@ class ObsState:
                 self._sink_handle.close()
                 self._sink_handle = None
             self.sink_path = sink_path
-            if max_sink_bytes is not None:
-                self.max_sink_bytes = max_sink_bytes
             self.enabled = True
             if not self._atexit_registered:
                 atexit.register(self.close)
@@ -344,11 +328,9 @@ class ObsState:
             self._warned.clear()
             self.trace_id = None
             self.remote_parent = None
-            self.max_sink_bytes = None
-            self._sink_bytes = 0
 
     def after_fork_in_child(self) -> None:
-        """Start a forked child (a pool worker) with empty counters,
+        """Start a forked child (a campaign worker) with empty counters,
         histograms and span stack.  Snapshots are summed per pid, so
         values inherited from the parent would be counted twice; the
         child's job spans parent through their lease's trace context
@@ -380,31 +362,6 @@ class ObsState:
         return stack
 
     # -- event emission ------------------------------------------------
-    def _open_sink(self) -> None:
-        """Open the sink for append and learn its current size (the
-        cap must count bytes written by earlier runs of this sink)."""
-        self._sink_handle = open(self.sink_path, "a", encoding="utf-8")
-        try:
-            self._sink_bytes = os.path.getsize(self.sink_path)
-        except OSError:
-            self._sink_bytes = 0
-
-    def _rotate_sink(self) -> None:
-        """Rename ``sink`` → ``sink.1`` and start a fresh file.
-
-        Called between whole-line writes, so both the rotated file and
-        the new one contain only complete JSONL lines.  One rotated
-        generation is kept; an older ``.1`` is overwritten.
-        """
-        if self._sink_handle is not None:
-            self._sink_handle.close()
-            self._sink_handle = None
-        try:
-            os.replace(self.sink_path, self.sink_path + ".1")
-        except OSError:
-            pass
-        self._sink_bytes = 0
-
     def emit(self, event: dict) -> None:
         """Append one event to the ring and, if configured, the sink."""
         with self._lock:
@@ -412,18 +369,9 @@ class ObsState:
             if self.sink_path is not None:
                 line = json.dumps(event, sort_keys=True, default=str) + "\n"
                 if self._sink_handle is None:
-                    self._open_sink()
-                if (
-                    self.max_sink_bytes is not None
-                    and self._sink_bytes > 0
-                    and self._sink_bytes + len(line) > self.max_sink_bytes
-                ):
-                    self._rotate_sink()
-                if self._sink_handle is None:
-                    self._open_sink()
+                    self._sink_handle = open(self.sink_path, "a", encoding="utf-8")
                 self._sink_handle.write(line)
                 self._sink_handle.flush()
-                self._sink_bytes += len(line)
 
     def flush(self) -> None:
         """Emit a cumulative snapshot of counters and histograms.
@@ -464,24 +412,19 @@ def current_level() -> str:
     return next(name for name, value in LEVELS.items() if value == STATE.level)
 
 
+def sink_path() -> Optional[str]:
+    """The JSONL sink events are streaming to, or None."""
+    return STATE.sink_path if STATE.enabled else None
+
+
 def enable(
     sink_path: Optional[str] = None,
     level: str = "info",
     ring_size: int = DEFAULT_RING_SIZE,
-    max_sink_bytes: Optional[int] = None,
 ) -> None:
     """Turn observability on, optionally streaming events to a JSONL
-    sink that ``python -m repro obs report`` renders later.
-
-    ``max_sink_bytes`` bounds the sink for long-running services:
-    when set, the sink rotates to ``<sink>.1`` instead of growing
-    without limit (see :meth:`ObsState.enable`)."""
-    STATE.enable(
-        sink_path=sink_path,
-        level=level,
-        ring_size=ring_size,
-        max_sink_bytes=max_sink_bytes,
-    )
+    sink that ``python -m repro obs report`` renders later."""
+    STATE.enable(sink_path=sink_path, level=level, ring_size=ring_size)
 
 
 def disable() -> None:
@@ -715,32 +658,16 @@ def get_logger(name: str) -> Logger:
 def _activate_from_env() -> None:
     """Honour ``REPRO_OBS`` at import: unset/empty/``0`` leaves
     observability off; ``1``/``true`` enables ring-only recording; any
-    other value is treated as a JSONL sink path.  This is how campaign
-    worker processes inherit the parent's ``--obs`` flag.
-
-    ``REPRO_OBS_TRACE`` (``"<trace_id>:<parent_span_id>"``) installs
-    the inherited trace context even when no sink is configured, and
-    ``REPRO_OBS_MAX_BYTES`` carries the sink rotation cap into worker
-    processes.  Neither touches any RNG stream.
+    other value is treated as a JSONL sink path.  This is how a
+    ``repro cluster worker`` started on another host joins a
+    campaign's ``--obs`` sink.  Touches no RNG stream.
     """
-    raw_trace = os.environ.get(ENV_TRACE, "").strip()
-    if raw_trace:
-        trace_id, _, parent = raw_trace.partition(":")
-        STATE.trace_id = trace_id or None
-        STATE.remote_parent = parent or None
     raw = os.environ.get(ENV_SINK, "").strip()
     if not raw or raw == "0" or raw.lower() == "false":
         return
     level = os.environ.get(ENV_LEVEL, "info").strip().lower() or "info"
     sink = None if raw == "1" or raw.lower() == "true" else raw
-    raw_cap = os.environ.get(ENV_MAX_BYTES, "").strip()
-    max_sink_bytes = None
-    if raw_cap:
-        try:
-            max_sink_bytes = int(raw_cap) or None
-        except ValueError:
-            max_sink_bytes = None
-    enable(sink_path=sink, level=level, max_sink_bytes=max_sink_bytes)
+    enable(sink_path=sink, level=level)
 
 
 _activate_from_env()

@@ -42,25 +42,14 @@ def load_events(path: str) -> list[dict]:
     return events
 
 
-def logical_sink(path: str) -> str:
-    """The sink a file logically belongs to: ``sink.jsonl.1`` (the
-    rotated generation, see ``ObsState._rotate_sink``) maps back to
-    ``sink.jsonl``.  Counter snapshots merge last-per-(sink, pid), and
-    a rotated generation is the *same* sink — keying by the physical
-    path would double-count its cumulative snapshots."""
-    return path[:-2] if path.endswith(".1") else path
-
-
 def expand_sinks(patterns) -> list[str]:
     """Expand sink paths and globs into a sorted, deduplicated list.
 
     ``patterns`` is one path/glob or a sequence of them — this is what
     lets ``obs report 'runs/x/shard-*/obs.jsonl'`` cover a sharded
-    cluster campaign with one argument.  A sink that has rotated
-    (``sink.jsonl.1`` exists beside it) contributes both generations.
+    cluster campaign with one argument.
     """
     import glob as _glob
-    import os as _os
 
     if isinstance(patterns, (str, bytes)):
         patterns = [patterns]
@@ -71,17 +60,7 @@ def expand_sinks(patterns) -> list[str]:
             paths.extend(_glob.glob(pattern))
         else:
             paths.append(pattern)
-    for path in list(paths):
-        rotated = path + ".1"
-        if not path.endswith(".1") and _os.path.exists(rotated):
-            paths.append(rotated)
-    seen: set[str] = set()
-    unique = []
-    for path in sorted(paths):
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique
+    return sorted(set(paths))
 
 
 def load_events_multi(patterns) -> list[dict]:
@@ -102,9 +81,8 @@ def load_events_multi(patterns) -> list[dict]:
         return load_events(paths[0])
     events: list[dict] = []
     for path in paths:
-        src = logical_sink(path)
         for event in load_events(path):
-            event["_src"] = src
+            event["_src"] = path
             events.append(event)
     events.sort(key=lambda e: float(e.get("ts", 0.0)))
     return events

@@ -16,18 +16,10 @@ context repairs that with two process-level fields on the obs state:
     an empty thread-local stack adopt it; nested spans keep their real
     local parent.
 
-Campaign jobs receive the context one way, whichever transport runs
-them: a ``trace`` field (:func:`wire_context` payload) that the
-campaign engine puts on every lease — the cluster ``job`` message and
-the local runner's pool payload alike — adopted for exactly that
-attempt via :func:`adopted`, because a long-lived worker serves many
-campaigns and each job may belong to a different trace.
-
-A process can also *inherit* a context at import from
-``REPRO_OBS_TRACE="<trace_id>:<parent_span_id>"``
-(:func:`repro.obs.core._activate_from_env`, encoded by
-:func:`env_value`), so a traced parent can start a traced child
-process; no campaign transport exports it.
+Campaign jobs receive the context one way: a ``trace`` field
+(:func:`wire_context` payload) that the campaign engine puts on every
+lease's ``job`` message, adopted for exactly that attempt via
+:func:`adopted`.  No environment variable carries a trace context.
 
 Non-perturbation: trace ids come from :func:`uuid.uuid4` (OS entropy,
 ``os.urandom``) — never ``random`` or numpy — so enabling tracing
@@ -42,10 +34,9 @@ import uuid
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.obs.core import ENV_TRACE, STATE
+from repro.obs.core import STATE
 
 __all__ = [
-    "ENV_TRACE",
     "new_trace_id",
     "begin_trace",
     "set_trace",
@@ -53,7 +44,6 @@ __all__ = [
     "current_trace_id",
     "current_parent",
     "wire_context",
-    "env_value",
     "adopted",
 ]
 
@@ -125,17 +115,6 @@ def wire_context(
     if parent is not None:
         context["parent"] = parent
     return context
-
-
-def env_value(
-    trace_id: Optional[str] = None, parent: Optional[str] = None
-) -> Optional[str]:
-    """The ``REPRO_OBS_TRACE`` encoding (``"<trace_id>:<parent>"``)
-    for child processes, or None when no trace is active."""
-    context = wire_context(trace_id, parent)
-    if context is None:
-        return None
-    return f"{context['trace']}:{context.get('parent', '')}"
 
 
 @contextmanager

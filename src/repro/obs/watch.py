@@ -60,12 +60,9 @@ class SinkFollower:
     the next poll — so a line that is mid-``write`` when we read is
     delivered once complete, and a line truncated forever (worker
     killed) is simply never delivered.  Complete-but-corrupt lines are
-    counted in :attr:`corrupt` and skipped.  If the file shrinks (sink
-    recreated), the follower restarts from the beginning; if it
-    *rotates* (size-capped sinks rename ``sink`` → ``sink.1`` and start
-    fresh — detected by the inode changing), the follower first drains
-    the unread tail of the rotated generation, then restarts at the new
-    file's beginning, so no event is lost or delivered twice.
+    counted in :attr:`corrupt` and skipped.  If the sink is truncated
+    (it shrinks) or recreated (its inode changes), the follower
+    restarts from the beginning of the file.
     """
 
     def __init__(self, path: str) -> None:
@@ -94,58 +91,26 @@ class SinkFollower:
                 self.corrupt += 1
         return events
 
-    def _read_from(self, path: str) -> list[dict]:
-        """Read ``path`` from the remembered offset to EOF and decode."""
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                fh.seek(self.offset)
-                chunk = fh.read()
-                self.offset = fh.tell()
-        except OSError:
-            return []
-        return self._decode(self._buffer + chunk)
-
     def poll(self) -> list[dict]:
         """Newly appended complete events since the last poll."""
         try:
             st = os.stat(self.path)
         except OSError:
             return []
-        events: list[dict] = []
-        if self._ino is None and self.offset == 0:
-            # First contact with the sink.  A generation that rotated
-            # out *before* we attached still holds the campaign's
-            # earlier events — deliver it first, oldest-first.
-            rotated = self.path + ".1"
-            if not self.path.endswith(".1") and os.path.exists(rotated):
-                events.extend(self._read_from(rotated))
-                self.offset = 0
-                self._buffer = ""
-        if self._ino is not None and st.st_ino != self._ino:
-            # The sink rotated out from under us.  The file we were
-            # reading should now be at <path>.1 — drain its unread
-            # tail (rotation happens on whole-line boundaries) before
-            # restarting on the fresh file.
-            rotated = self.path + ".1"
-            try:
-                rotated_st = os.stat(rotated)
-            except OSError:
-                rotated_st = None
-            if (
-                rotated_st is not None
-                and rotated_st.st_ino == self._ino
-                and rotated_st.st_size > self.offset
-            ):
-                events.extend(self._read_from(rotated))
+        if st.st_ino != self._ino or st.st_size < self.offset:
             self.offset = 0
             self._buffer = ""
         self._ino = st.st_ino
-        if st.st_size < self.offset:  # truncated/recreated: start over
-            self.offset = 0
-            self._buffer = ""
-        if st.st_size > self.offset:
-            events.extend(self._read_from(self.path))
-        return events
+        if st.st_size <= self.offset:
+            return []
+        try:
+            with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
+                fh.seek(self.offset)
+                chunk = fh.read()
+                self.offset = fh.tell()
+        except OSError:
+            return []
+        return self._decode(self._buffer + chunk)
 
 
 class MultiSinkFollower:
@@ -170,22 +135,15 @@ class MultiSinkFollower:
 
     def poll(self) -> list[dict]:
         """Newly appended complete events across every matching sink."""
-        from repro.obs.report import expand_sinks, logical_sink
+        from repro.obs.report import expand_sinks
 
-        expanded = set(expand_sinks(self.patterns))
-        for path in expanded:
-            # A rotated generation (<sink>.1) whose live sink is also
-            # followed is the base follower's job — following both
-            # would deliver its events twice.
-            if path.endswith(".1") and logical_sink(path) in expanded:
-                continue
+        for path in expand_sinks(self.patterns):
             if path not in self._followers:
                 self._followers[path] = SinkFollower(path)
         events: list[dict] = []
         for path in sorted(self._followers):
-            src = logical_sink(path)
             for event in self._followers[path].poll():
-                event["_src"] = src
+                event["_src"] = path
                 events.append(event)
         events.sort(key=lambda e: float(e.get("ts", 0.0)))
         return events

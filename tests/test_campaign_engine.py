@@ -1,17 +1,18 @@
-"""The one campaign engine: the local runner and the cluster share the
-scheduler's accounting, counters, warnings and trace tree.
+"""The one campaign engine: ``campaign run`` and ``cluster run`` share
+the scheduler's accounting, counters, warnings and trace tree.
 
-Covers what only exists because both transports drive
-:class:`repro.cluster.scheduler.ClusterScheduler`: the counters `obs
-watch` reads, the once-per-campaign unenforceable-budget warning, the
-local run's single connected trace, the uncharged requeue of an attempt
-a dead pool refused, and the import weight of ``campaign run``.
+Covers what only exists because both front ends drive
+:class:`repro.cluster.scheduler.ClusterScheduler` over forked workers:
+the counters `obs watch` reads, the once-per-campaign
+unenforceable-budget warning, the local run's single connected trace,
+the respawn of a worker killed mid-campaign, and the import weight of
+``campaign run``.
 """
 
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,13 @@ from repro import obs
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
-    InProcessExecutor,
     ResultStore,
+    get_experiment,
+    metrics_digest,
     register_experiment,
 )
 from repro.campaign.spec import FaultInjection
+from repro.campaign.store import JobRecord
 from repro.cluster.scheduler import STATE_DONE, ClusterScheduler
 from repro.obs.report import trace_summary
 from repro.obs.watch import WatchState
@@ -106,36 +109,18 @@ class TestSchedulerCounters:
         assert len(warnings) == 1
 
 
-class _RefusingExecutor(InProcessExecutor):
-    """A pool that is already dead at its first ``submit``."""
-
-    def __init__(self, refuse: bool) -> None:
-        self.refuse = refuse
-
-    def submit(self, fn, *args, **kwargs):
-        if self.refuse:
-            self.refuse = False
-            raise BrokenExecutor("pool already broken")
-        return super().submit(fn, *args, **kwargs)
+@register_experiment("engine_kill_once")
+def _kill_once(params: dict, seed: int) -> dict:
+    """SIGKILLs its own worker while the flag file exists (consuming
+    it); otherwise a pure function of ``(params, seed)``."""
+    flag = params.get("flag")
+    if params.get("x") == 2 and flag and os.path.exists(flag):
+        os.unlink(flag)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"value": params.get("x", 0) * 5, "seed_mod": seed % 83}
 
 
 class TestLocalRunner:
-    def test_refused_submit_requeues_without_charging(self, tmp_path):
-        built = []
-
-        def factory():
-            built.append(_RefusingExecutor(refuse=not built))
-            return built[-1]
-
-        spec = CampaignSpec(
-            name="refused", experiment="engine_echo", grid={"x": [1, 2]}
-        )
-        store = ResultStore(tmp_path / "refused")
-        result = CampaignRunner(spec, store, executor_factory=factory).run()
-        assert result.counts == {"ok": 2}
-        assert len(built) == 2
-        assert [r.attempts for r in store.load_records().values()] == [1, 1]
-
     def test_local_trace_is_one_tree_rooted_at_campaign_run(self, tmp_path):
         sink = tmp_path / "obs.jsonl"
         obs.enable(sink_path=str(sink))
@@ -148,9 +133,7 @@ class TestLocalRunner:
             inject_failures=FaultInjection(count=1, attempts=1),
         )
         store = ResultStore(tmp_path / "traced")
-        CampaignRunner(
-            spec, store, workers=2, executor_factory=InProcessExecutor
-        ).run()
+        CampaignRunner(spec, store, workers=2).run()
         obs.flush()
         events = obs.load_events(str(sink))
         summary = trace_summary(events)
@@ -170,30 +153,57 @@ class TestLocalRunner:
         assert "cluster.attempts" not in counters
 
 
-    def test_pool_counters_count_once_across_fork_and_rebuild(self, tmp_path):
-        """Pool workers fork from the parent after it has counted; each
-        starts from zero, so the per-pid sum is exact even across a
-        crash-driven pool rebuild."""
+    def test_killed_only_worker_is_respawned_once(self, tmp_path):
+        """SIGKILL the only worker mid-job: one replacement is forked,
+        the job is charged one attempt, the records digest like the
+        jobs called directly, and counters count once across the fork
+        and the respawn (each child starts from zero)."""
+        flag = tmp_path / "kill.flag"
+        flag.write_text("armed")
         sink = tmp_path / "obs.jsonl"
         obs.enable(sink_path=str(sink))
         spec = CampaignSpec(
-            name="forked",
-            experiment="lzw_recovery",  # importable by worker processes
-            grid={"size": [30, 40]},
+            name="respawn",
+            experiment="engine_kill_once",
+            grid={"x": [1, 2, 3]},
+            fixed={"flag": str(flag)},
             max_retries=1,
             retry_backoff=0.0,
-            inject_failures=FaultInjection(count=1, attempts=1, mode="crash"),
         )
-        store = ResultStore(tmp_path / "forked")
-        result = CampaignRunner(spec, store, workers=1).run()
-        assert result.counts == {"ok": 2}
+        events = []
+        store = ResultStore(tmp_path / "respawn")
+        result = CampaignRunner(
+            spec, store, workers=1, on_event=events.append
+        ).run()
         obs.flush()
+        assert result.counts == {"ok": 3}
+        assert [e for e in events if "respawned" in e] == [
+            "worker w0 killed by signal 9; respawned as w1"
+        ]
+        records = store.load_records()
+        assert {r.params["x"]: r.attempts for r in records.values()} == {
+            1: 1, 2: 2, 3: 1,
+        }
+        fn = get_experiment(spec.experiment)
+        direct = [
+            JobRecord(
+                job_id=job.job_id, experiment=job.experiment,
+                params=job.params_dict(), trial=job.trial, seed=job.seed,
+                status="ok", attempts=1, duration_seconds=0.0,
+                metrics=fn(job.params_dict(), job.seed),
+            )
+            for job in spec.jobs()
+        ]
+        assert metrics_digest(records) == metrics_digest(direct)
         state = WatchState()
         state.ingest(obs.load_events(str(sink)))
         counters = state.counters()
         assert counters["cluster.campaigns_submitted"] == 1
-        assert counters["campaign.pool_rebuilds"] == 1
-        assert counters["campaign.ok"] == 2
+        assert counters["cluster.workers_registered"] == 2
+        assert counters["cluster.workers_respawned"] == 1
+        assert counters["campaign.attempts"] == 4
+        assert counters["campaign.retries"] == 1
+        assert counters["campaign.ok"] == 3
         assert state.job_progress()["retried"] == 1
 
 

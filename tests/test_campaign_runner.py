@@ -1,13 +1,15 @@
 """Runner semantics: retries, timeouts, crash tolerance, resume.
 
-Everything here uses the in-process executor, so the full scheduling,
-retry and persistence machinery runs single-process and fast; one
-smoke test at the bottom goes through a real ``ProcessPoolExecutor``.
+Every campaign here runs on real workers forked from the test process,
+so experiments registered below (and monkeypatches) are visible to
+them; what a worker observes comes back through files.
 """
 
+import json
 import os
+import shutil
+import signal
 import time
-from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
@@ -15,7 +17,6 @@ from repro import obs
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
-    InProcessExecutor,
     ResultStore,
     register_experiment,
 )
@@ -29,13 +30,26 @@ def clean_obs():
     yield
     obs.reset()
 
-CALLS: list = []
+# Set by the ``calls`` fixture before a run; forked workers inherit it
+# and append one line per call.
+CALL_LOG = None
+
+
+@pytest.fixture
+def calls(tmp_path, monkeypatch):
+    """The seeds ``test_echo`` was called with, in call order."""
+    path = tmp_path / "calls.log"
+    path.touch()
+    monkeypatch.setitem(globals(), "CALL_LOG", path)
+    return lambda: [int(line) for line in path.read_text().split()]
 
 
 @register_experiment("test_echo")
 def _echo(params: dict, seed: int) -> dict:
     """Fast deterministic experiment for runner tests."""
-    CALLS.append((tuple(sorted(params.items())), seed))
+    if CALL_LOG is not None:
+        with open(CALL_LOG, "a") as log:
+            log.write(f"{seed}\n")
     return {"value": params.get("x", 0) * 10, "seed_mod": seed % 97}
 
 
@@ -54,11 +68,9 @@ def _sleepy(params: dict, seed: int) -> dict:
     return {"slept": params.get("sleep", 0.01)}
 
 
-def run_spec(spec, tmp_path, resume=False, workers=1, factory=InProcessExecutor):
+def run_spec(spec, tmp_path, resume=False, workers=1):
     store = ResultStore(tmp_path / spec.name)
-    runner = CampaignRunner(
-        spec, store, workers=workers, executor_factory=factory
-    )
+    runner = CampaignRunner(spec, store, workers=workers)
     return runner.run(resume=resume), store
 
 
@@ -74,13 +86,12 @@ class TestHappyPath:
         assert all(r.ok and r.attempts == 1 for r in records.values())
         assert {r.metrics["value"] for r in records.values()} == {10, 20, 30}
 
-    def test_experiment_receives_derived_seed(self, tmp_path):
-        CALLS.clear()
+    def test_experiment_receives_derived_seed(self, tmp_path, calls):
         spec = CampaignSpec(
             name="seeds", experiment="test_echo", grid={"x": [1]}, trials=3
         )
         run_spec(spec, tmp_path)
-        seeds = [seed for _, seed in CALLS]
+        seeds = calls()
         assert len(set(seeds)) == 3
         assert seeds == [job.seed for job in spec.jobs()]
 
@@ -187,25 +198,26 @@ class TestResume:
         with pytest.raises(FileExistsError, match="resume"):
             run_spec(self.spec(), tmp_path)
 
-    def test_resume_skips_completed_jobs(self, tmp_path):
+    def test_resume_skips_completed_jobs(self, tmp_path, calls):
         run_spec(self.spec(), tmp_path)
-        CALLS.clear()
+        assert len(calls()) == 6
         result, _ = run_spec(self.spec(), tmp_path, resume=True)
         assert result.skipped == 6
         assert result.counts == {}
-        assert CALLS == []  # nothing re-executed
+        assert len(calls()) == 6  # nothing re-executed
 
     def test_resume_runs_only_missing_jobs(self, tmp_path):
         spec = self.spec()
         result, store = run_spec(spec, tmp_path)
-        # Simulate an interruption: drop the records of two jobs.
+        # Simulate an interruption: drop the records of two jobs, from
+        # the merged log and from the worker shards it was merged from.
         records = store.load_records()
         keep = list(records)[:-2]
         store.results_path.write_text(
-            "".join(
-                __import__("json").dumps(records[k].to_dict()) + "\n" for k in keep
-            )
+            "".join(json.dumps(records[k].to_dict()) + "\n" for k in keep)
         )
+        for shard in store.shard_stores():
+            shutil.rmtree(shard.root)
         result, store = run_spec(spec, tmp_path, resume=True)
         assert result.skipped == 4
         assert result.counts == {"ok": 2}
@@ -220,101 +232,6 @@ class TestResume:
             run_spec(other, tmp_path, resume=True)
 
 
-class _BreakingExecutor(InProcessExecutor):
-    """An executor whose first ``breaks`` submissions come back as a
-    broken pool (``BrokenExecutor`` raised at ``result()`` time, like a
-    real ``ProcessPoolExecutor`` after a worker dies), with a small
-    delay so terminal records have measurable wall clock."""
-
-    def __init__(self, breaks: int = 0, delay: float = 0.0) -> None:
-        self.breaks = breaks
-        self.delay = delay
-
-    def submit(self, fn, *args, **kwargs) -> Future:
-        if self.breaks > 0:
-            self.breaks -= 1
-            if self.delay:
-                time.sleep(self.delay)
-            future: Future = Future()
-            future.set_exception(BrokenExecutor("worker died"))
-            return future
-        return super().submit(fn, *args, **kwargs)
-
-
-class TestBrokenPoolAccounting:
-    """The pool-rebuild path must charge a broken-pool job exactly one
-    attempt and keep its real wall-clock duration (it used to reset
-    ``submitted_at`` to 0.0 right before recording, zeroing every
-    crash-terminated job's duration)."""
-
-    def _runner(self, spec, tmp_path, breaks, delay=0.0):
-        built = []
-
-        def factory():
-            executor = _BreakingExecutor(
-                breaks=breaks if not built else 0, delay=delay
-            )
-            built.append(executor)
-            return executor
-
-        store = ResultStore(tmp_path / spec.name)
-        return CampaignRunner(spec, store, executor_factory=factory), store, built
-
-    def test_broken_pool_job_charged_exactly_one_attempt(self, tmp_path):
-        spec = CampaignSpec(
-            name="broke-retry",
-            experiment="test_echo",
-            grid={"x": [1]},
-            max_retries=1,
-            retry_backoff=0.0,
-        )
-        runner, store, built = self._runner(spec, tmp_path, breaks=1)
-        result = runner.run()
-        assert result.counts == {"ok": 1}
-        assert len(built) == 2  # the pool was rebuilt exactly once
-        (record,) = store.load_records().values()
-        # broken-pool attempt charged once, successful retry second
-        assert record.attempts == 2
-
-    def test_terminal_crash_keeps_wall_clock_duration(self, tmp_path):
-        spec = CampaignSpec(
-            name="broke-terminal",
-            experiment="test_echo",
-            grid={"x": [1]},
-            max_retries=0,
-        )
-        runner, store, _ = self._runner(spec, tmp_path, breaks=1, delay=0.05)
-        result = runner.run()
-        assert result.counts == {"crashed": 1}
-        (record,) = store.load_records().values()
-        assert record.attempts == 1
-        assert record.duration_seconds >= 0.04  # not the old hard 0.0
-
-    def test_every_in_flight_job_charged_once_on_rebuild(self, tmp_path):
-        spec = CampaignSpec(
-            name="broke-flight",
-            experiment="test_echo",
-            grid={"x": [1, 2]},
-            max_retries=1,
-            retry_backoff=0.0,
-        )
-        built = []
-
-        def factory():
-            executor = _BreakingExecutor(breaks=2 if not built else 0)
-            built.append(executor)
-            return executor
-
-        store = ResultStore(tmp_path / spec.name)
-        runner = CampaignRunner(
-            spec, store, workers=2, executor_factory=factory
-        )
-        result = runner.run()
-        assert result.counts == {"ok": 2}
-        assert len(built) == 2
-        assert [r.attempts for r in store.load_records().values()] == [2, 2]
-
-
 class TestTimeoutEnforcement:
     """Per-job budgets silently do nothing without SIGALRM; the runner
     must say so (once) and stamp ``timeout_enforced: false`` on the
@@ -323,12 +240,7 @@ class TestTimeoutEnforcement:
     def _run(self, tmp_path, spec):
         events = []
         store = ResultStore(tmp_path / spec.name)
-        runner = CampaignRunner(
-            spec,
-            store,
-            executor_factory=InProcessExecutor,
-            on_event=events.append,
-        )
+        runner = CampaignRunner(spec, store, on_event=events.append)
         return runner.run(), store, events
 
     def test_unenforceable_budget_flagged_and_warned_once(
@@ -375,12 +287,15 @@ class TestTimeoutEnforcement:
 
 @register_experiment("test_interrupt_once")
 def _interrupt_once(params: dict, seed: int) -> dict:
-    """Raises KeyboardInterrupt while the flag file exists (consuming
-    it), so a resumed campaign sails through."""
+    """While the flag file exists (consuming it), interrupt the campaign
+    as a terminal's Ctrl-C would — SIGINT to the scheduler, the
+    worker's parent — and hang until the scheduler tears this worker
+    down; a resumed campaign sails through."""
     flag = params.get("flag")
     if params.get("x") == 2 and flag and os.path.exists(flag):
         os.unlink(flag)
-        raise KeyboardInterrupt
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60)
     return {"value": params.get("x", 0)}
 
 
@@ -399,17 +314,12 @@ class TestKeyboardInterrupt:
 
         events = []
         store = ResultStore(tmp_path / "ki")
-        runner = CampaignRunner(
-            spec(),
-            store,
-            executor_factory=InProcessExecutor,
-            on_event=events.append,
-        )
+        runner = CampaignRunner(spec(), store, on_event=events.append)
         with pytest.raises(KeyboardInterrupt):
             runner.run()
-        # The finished job was flushed to the JSONL checkpoint before
-        # the interrupt, and the user is pointed at `campaign resume`.
-        assert len(store.load_records()) == 1
+        # The finished job sits in its worker's shard, and the user is
+        # pointed at `campaign resume`.
+        assert len(store.load_records(include_shards=True)) == 1
         assert any("campaign resume" in e for e in events)
 
         result, store = run_spec(spec(), tmp_path, resume=True)
@@ -420,11 +330,11 @@ class TestKeyboardInterrupt:
 
 class TestProcessPool:
     def test_real_pool_end_to_end_with_injected_crash(self, tmp_path):
-        """Smoke the default ProcessPoolExecutor path: real workers, a
-        real ``os._exit`` crash, pool rebuild, retry, full recovery."""
+        """A pool of two forked workers: an injected crash, retry,
+        full recovery."""
         spec = CampaignSpec(
-            name="pool",
-            experiment="lzw_recovery",  # importable by worker processes
+            name="forked",
+            experiment="lzw_recovery",
             grid={"size": [30, 40]},
             trials=1,
             max_retries=2,
@@ -432,7 +342,7 @@ class TestProcessPool:
             timeout_seconds=60,
             inject_failures=FaultInjection(count=1, attempts=1, mode="crash"),
         )
-        store = ResultStore(tmp_path / "pool")
+        store = ResultStore(tmp_path / "forked")
         result = CampaignRunner(spec, store, workers=2).run()
         assert result.counts == {"ok": 2}
         records = store.load_records()
@@ -451,10 +361,10 @@ class TestProcessPool:
             )
 
         start = time.monotonic()
-        result1, _ = run_spec(spec("w1"), tmp_path, workers=1, factory=None)
+        result1, _ = run_spec(spec("w1"), tmp_path, workers=1)
         serial = time.monotonic() - start
         start = time.monotonic()
-        result4, _ = run_spec(spec("w4"), tmp_path, workers=4, factory=None)
+        result4, _ = run_spec(spec("w4"), tmp_path, workers=4)
         parallel = time.monotonic() - start
         assert result1.counts == result4.counts == {"ok": 8}
         assert parallel < serial

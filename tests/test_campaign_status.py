@@ -8,6 +8,7 @@ fail with exit 2 naming both hashes.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,7 +42,11 @@ def _echo(params: dict, seed: int) -> dict:
     return {"value": params.get("x", 0)}
 
 
-def finished_store(tmp_path, name="st", xs=(1, 2, 3)):
+def finished_store(tmp_path, name="st", xs=(1, 2, 3), prune_shards=True):
+    """A finished campaign.  ``campaign run`` keeps its workers' shard
+    dirs beside the merged log as an audit trail; with
+    ``prune_shards`` they are removed, so the merged ``results.jsonl``
+    alone is what the tests below edit and the status reads."""
     spec = CampaignSpec(
         name=name,
         experiment="status_echo",
@@ -53,12 +58,15 @@ def finished_store(tmp_path, name="st", xs=(1, 2, 3)):
     )
     store = ResultStore(tmp_path / name)
     CampaignRunner(spec, store).run()
+    if prune_shards:
+        for shard in store.shard_stores():
+            shutil.rmtree(shard.root)
     return store
 
 
 class TestCampaignStatus:
     def test_finished_campaign_counts(self, tmp_path):
-        store = finished_store(tmp_path)
+        store = finished_store(tmp_path, prune_shards=False)
         status = campaign_status(store)
         assert status["name"] == "st"
         assert status["n_jobs"] == 6
@@ -68,7 +76,7 @@ class TestCampaignStatus:
         assert status["retried"] == 1  # the injected first-attempt failure
         assert status["finished"] is True
         assert status["wall_seconds"] >= 0.0
-        assert status["shards"] == 0
+        assert status["shards"] == 1  # the one worker's audit trail
         assert status["spec_hash"] == store.load_manifest()["spec_hash"]
 
     def test_in_progress_campaign_reports_pending(self, tmp_path):
@@ -123,7 +131,7 @@ class TestRenderStatus:
         assert "6/6 recorded, 0 pending" in text
         assert "6 ok, 0 failed" in text
         assert "1 jobs needed more than one attempt" in text
-        assert "shards" not in text  # no shard dirs on a local run
+        assert "shards" not in text  # no shard dirs left
 
     def test_shard_line_appears_for_cluster_dirs(self, tmp_path):
         store = finished_store(tmp_path)

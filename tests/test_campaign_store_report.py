@@ -7,7 +7,6 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
-    InProcessExecutor,
     ResultStore,
     aggregate_records,
     render_report,
@@ -122,9 +121,7 @@ class TestReport:
             base_seed=3,
         )
         store = ResultStore(tmp_path / "rep")
-        CampaignRunner(
-            spec, store, executor_factory=InProcessExecutor
-        ).run()
+        CampaignRunner(spec, store).run()
         return store
 
     def test_report_contains_cells_and_counts(self, tmp_path):
@@ -198,6 +195,30 @@ class TestCampaignCli:
         assert main(["campaign", "run", str(spec_path), "--out", str(out),
                      "--quiet"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_unknown_experiment_exits_2_before_writing(
+        self, tmp_path, capsys, command
+    ):
+        spec_path = self.write_spec(tmp_path, experiment="no_such")
+        out = tmp_path / "out"
+        if command == "resume":
+            from repro.campaign.spec import CampaignSpec
+
+            ResultStore(out).open_campaign(
+                CampaignSpec.from_json_file(spec_path)
+            )
+            argv = ["campaign", "resume", str(out), "--quiet"]
+        else:
+            argv = ["campaign", "run", str(spec_path), "--out", str(out),
+                    "--quiet"]
+        before = sorted(out.rglob("*")) if out.exists() else []
+        manifest = (out / "manifest.json").read_text() if before else None
+        assert main(argv) == 2
+        assert "error: unknown experiment 'no_such'" in capsys.readouterr().err
+        assert (sorted(out.rglob("*")) if out.exists() else []) == before
+        if manifest is not None:
+            assert (out / "manifest.json").read_text() == manifest
 
     def test_report_missing_dir_errors(self, tmp_path, capsys):
         assert main(["campaign", "report", str(tmp_path / "nope")]) == 2

@@ -8,9 +8,8 @@ Drills, all deadline-bounded (no fixed sleeps):
 * the lease plane over TCP and a Unix socket — exactly one lease
   request per attempt plus one drained request per worker (no idle
   polling);
-* service mode — a ``cluster serve`` scheduler accepting a second
-  campaign while the first drains through the same worker fleet, with
-  ``cluster status`` reflecting both.
+* a remote worker — ``repro cluster worker`` joining a ``cluster run
+  --listen`` scheduler next to its forked fleet.
 """
 
 import json
@@ -99,6 +98,29 @@ class TestKillDrill:
         )
 
 
+    def test_only_worker_killed_is_respawned(self, tmp_path):
+        """With one worker the drill leaves no survivor: a fresh fork
+        replaces it and finishes the campaign, digest unchanged."""
+        events = []
+        result = run_cluster(
+            drill_spec(),
+            tmp_path / "cluster",
+            workers=1,
+            drill_kill_worker=2,
+            on_event=events.append,
+            deadline_seconds=120.0,
+        )
+        assert result["state"] == "done"
+        assert result["counts"] == {"ok": 6, "skipped": 0}
+        assert "worker w0 killed by signal 9; respawned as w1" in events
+        records = ResultStore(tmp_path / "cluster").load_records()
+        single_store = ResultStore(tmp_path / "single")
+        assert CampaignRunner(drill_spec(), single_store).run().counts == {"ok": 6}
+        assert metrics_digest(records) == metrics_digest(
+            single_store.load_records()
+        )
+
+
 class TestLeasePlane:
     @pytest.mark.parametrize("transport", ["tcp", "unix"])
     def test_one_lease_request_per_attempt_plus_one_drain_per_worker(
@@ -152,96 +174,60 @@ def run_repro(*argv, timeout=60):
     )
 
 
-class TestServiceMode:
-    def test_serve_accepts_second_campaign_while_first_drains(
-        self, tmp_path
-    ):
-        spec_paths = []
-        for index in (1, 2):
-            spec = dict(
-                name=f"svc{index}",
-                experiment="lzw_recovery",
-                grid={"size": [30, 40]},
-                trials=2,
-            )
-            path = tmp_path / f"spec{index}.json"
-            path.write_text(json.dumps(spec))
-            spec_paths.append(path)
-
-        serve = popen_repro(
-            "cluster", "serve", "--listen", "tcp:127.0.0.1:0",
-            "--heartbeat-seconds", "0.3", "--lease-seconds", "10",
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
+class TestRemoteWorker:
+    def test_cluster_worker_joins_a_listening_run(self, tmp_path):
+        """`cluster worker` (a fresh interpreter, as on another host)
+        joins a `cluster run --listen` scheduler next to its one forked
+        worker; both drain, and the digest matches the single-host
+        run."""
+        spec = CampaignSpec(
+            name="remote",
+            experiment="lzw_recovery",
+            grid={"size": [2000, 2400]},
+            trials=8,
         )
-        workers = []
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        sock = tmp_path / "sched.sock"
+        run = popen_repro(
+            "cluster", "run", str(spec_path), "--out", str(tmp_path / "out"),
+            "--workers", "1", "--listen", f"unix:{sock}", "--quiet",
+            "--deadline", "120",
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        worker = None
         try:
-            line = serve.stdout.readline()
-            assert "serving on " in line, line
-            endpoint = line.strip().rsplit("serving on ", 1)[1]
-
-            workers = [
-                popen_repro(
-                    "cluster", "worker", "--connect", endpoint,
-                    "--worker-id", f"svc-w{i}", "--quiet",
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
-                )
-                for i in range(2)
-            ]
-
-            # Submit both campaigns back to back: the second queues
-            # while the first is still draining through the fleet.
-            for index, path in enumerate(spec_paths, start=1):
-                proc = run_repro(
-                    "cluster", "submit", str(path),
-                    "--connect", endpoint,
-                    "--out", str(tmp_path / f"out{index}"),
-                )
-                assert proc.returncode == 0, proc.stderr
-                assert f"svc{index}" in proc.stdout
-
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                proc = run_repro(
-                    "cluster", "status", "--connect", endpoint, "--json"
-                )
-                assert proc.returncode == 0, proc.stderr
-                status = json.loads(proc.stdout)
-                names = [c["name"] for c in status["campaigns"]]
-                assert names == ["svc1", "svc2"]  # both visible at once
-                if all(
-                    c["state"] == "done" for c in status["campaigns"]
-                ):
-                    break
-                time.sleep(0.2)
-            else:
-                pytest.fail(f"campaigns never drained: {status}")
-
-            assert status["campaigns"][0]["counts"] == {"ok": 4}
-            assert status["campaigns"][1]["counts"] == {"ok": 4}
-            connected = [
-                w for w in status["workers"] if w["connected"]
-            ]
-            assert len(connected) == 2
-
-            proc = run_repro("cluster", "shutdown", "--connect", endpoint)
-            assert proc.returncode == 0, proc.stderr
-            assert serve.wait(timeout=30) == 0
-            for worker in workers:
-                assert worker.wait(timeout=30) == 0
+            deadline = time.monotonic() + 60.0
+            while not sock.exists():
+                assert run.poll() is None, run.stderr.read()
+                assert time.monotonic() < deadline, "scheduler never listened"
+                time.sleep(0.01)
+            worker = popen_repro(
+                "cluster", "worker", "--connect", f"unix:{sock}",
+                "--worker-id", "remote", "--quiet",
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+            )
+            assert run.wait(timeout=120) == 0, run.stderr.read()
+            assert worker.wait(timeout=30) == 0, worker.stderr.read()
         finally:
-            for proc in [serve, *workers]:
-                if proc.poll() is None:
+            for proc in (run, worker):
+                if proc is not None and proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
 
-        for index in (1, 2):
-            store = ResultStore(tmp_path / f"out{index}")
-            records = store.load_records()
-            assert len(records) == 4
-            assert all(record.ok for record in records.values())
-            assert store.load_manifest()["outcomes"]["ok"] == 4
+        store = ResultStore(tmp_path / "out")
+        records = store.load_records()
+        assert len(records) == 16
+        assert all(record.ok for record in records.values())
+        remote = ResultStore(tmp_path / "out" / "shard-remote")
+        assert remote.load_records(), "the remote worker ran no job"
+        single_store = ResultStore(tmp_path / "single")
+        assert CampaignRunner(spec, single_store).run().counts == {"ok": 16}
+        assert metrics_digest(records) == metrics_digest(
+            single_store.load_records()
+        )
 
 
 class TestTraceDrill:

@@ -158,13 +158,6 @@ class TestBookkeeping:
         assert queue.drained()
         assert queue.done_count == 1
 
-    def test_clear_pending_leaves_live_leases(self):
-        queue, _, _ = make_queue(n=3)
-        queue.lease("w")
-        assert queue.clear_pending() == 2
-        assert queue.pending_count == 0
-        assert queue.leased_count == 1
-
     def test_next_eligible_in_none_when_empty(self):
         queue, _, _ = make_queue(n=1)
         queue.lease("w")

@@ -22,7 +22,13 @@ import time
 import pytest
 
 from repro import obs
-from repro.campaign import CampaignSpec
+from repro.campaign import (
+    CampaignSpec,
+    JobRecord,
+    ResultStore,
+    get_experiment,
+    metrics_digest,
+)
 from repro.cluster import (
     ClusterScheduler,
     Endpoint,
@@ -228,6 +234,20 @@ async def closed_by_server(reader):
         return True
 
 
+def direct_digest(spec):
+    """The metrics digest of the spec's jobs called directly."""
+    fn = get_experiment(spec.experiment)
+    return metrics_digest([
+        JobRecord(
+            job_id=job.job_id, experiment=job.experiment,
+            params=job.params_dict(), trial=job.trial, seed=job.seed,
+            status="ok", attempts=1, duration_seconds=0.0,
+            metrics=json.loads(json.dumps(fn(job.params_dict(), job.seed))),
+        )
+        for job in spec.jobs()
+    ])
+
+
 class TestMalformedMessages:
     @pytest.mark.parametrize(
         "line",
@@ -238,12 +258,23 @@ class TestMalformedMessages:
                  "pid": "abc", "protocol": protocol.PROTOCOL_VERSION}
             ),
             b"x" * (protocol.MAX_LINE_BYTES + 1) + b"\n",
+            # The control messages of the retired service mode.
+            protocol.encode_message(
+                {"type": "submit", "spec": one_job_spec(name="x").to_dict(),
+                 "store": "never-written", "resume": False}
+            ),
+            protocol.encode_message({"type": "status"}),
+            protocol.encode_message({"type": "cancel", "campaign_id": "c1-svc"}),
+            protocol.encode_message({"type": "shutdown"}),
         ],
-        ids=["lease-without-worker-id", "register-with-bad-pid", "oversized"],
+        ids=["lease-without-worker-id", "register-with-bad-pid", "oversized",
+             "retired-submit", "retired-status", "retired-cancel",
+             "retired-shutdown"],
     )
     def test_closes_the_connection_and_keeps_serving(self, tmp_path, line):
+        spec = one_job_spec()
         scheduler = ClusterScheduler()
-        scheduler.submit(one_job_spec(), tmp_path / "out")
+        scheduler.submit(spec, tmp_path / "out")
 
         async def scenario():
             async with serving(scheduler) as server:
@@ -255,18 +286,23 @@ class TestMalformedMessages:
                     await writer.drain()
                 assert await closed_by_server(reader)
                 writer.close()
-                worker = await RawWorker.register(server.endpoint, "good")
-                await worker.lease()
-                job = await worker.recv()
-                assert job["type"] == protocol.MSG_JOB
-                await worker.report(job, "ok")
-                await worker.lease()
-                assert (await worker.recv())["type"] == protocol.MSG_DRAIN
-                await worker.close()
+                # A real forked worker then runs the campaign to its end.
+                proc = service.spawn_worker(server.endpoint, "good")
+                try:
+                    await asyncio.wait_for(
+                        server.draining.wait(), READ_TIMEOUT
+                    )
+                    assert await asyncio.to_thread(proc.wait, 5.0) == 0
+                finally:
+                    proc.kill()
+                    await asyncio.to_thread(proc.wait, 5.0)
 
         assert run_scenario(scenario) == []
         assert "bad" not in scheduler.workers
         assert not scheduler.active()
+        assert len(scheduler.campaigns) == 1
+        records = ResultStore(tmp_path / "out").load_records()
+        assert metrics_digest(records) == direct_digest(spec)
 
 
 class TestParkedLeases:
@@ -327,29 +363,6 @@ class TestParkedLeases:
         assert run_scenario(scenario) == []
         assert not scheduler.active()
 
-    def test_service_mode_parks_until_submit(self, tmp_path):
-        scheduler = ClusterScheduler()
-
-        async def scenario():
-            async with serving(scheduler, serve_forever=True) as server:
-                worker = await RawWorker.register(server.endpoint, "a")
-                await worker.lease()
-                await until(lambda: "a" in server._parked)
-                scheduler.submit(one_job_spec(), tmp_path / "out")
-                server.dispatch()
-                job = await worker.recv()
-                assert job["type"] == protocol.MSG_JOB
-                await worker.report(job, "ok")
-                await worker.lease()
-                await until(lambda: "a" in server._parked)
-                assert not server.draining.is_set()
-                server.request_shutdown()
-                assert (await worker.recv())["type"] == protocol.MSG_DRAIN
-                await server.serve_until_shutdown()
-                await worker.close()
-
-        assert run_scenario(scenario) == []
-
     def test_worker_closing_while_parked_is_disconnected_cleanly(
         self, tmp_path
     ):
@@ -382,16 +395,22 @@ class TestParkedLeases:
         self, tmp_path
     ):
         scheduler = ClusterScheduler()
+        scheduler.submit(one_job_spec(), tmp_path / "out")
 
         async def scenario():
-            async with serving(scheduler, serve_forever=True) as server:
+            async with serving(scheduler) as server:
+                busy = await RawWorker.register(server.endpoint, "busy")
+                await busy.lease()
+                assert (await busy.recv())["type"] == protocol.MSG_JOB
                 worker = await RawWorker.register(server.endpoint, "a")
                 await worker.lease()
                 await until(lambda: "a" in server._parked)
-            # stop() returned: the handler already ran its disconnect.
+            # stop() returned: the handlers already ran their disconnect.
             assert not scheduler.workers["a"].connected
+            assert not scheduler.workers["busy"].connected
             assert await worker.recv() is None
             await worker.close()
+            await busy.close()
 
         assert run_scenario(scenario) == []
 
@@ -483,15 +502,19 @@ class TestForkedWorkers:
 
     def test_parked_worker_dies_on_terminate(self, tmp_path):
         """SIGTERM is the default action in a forked worker, even when
-        the scheduler's loop handles SIGTERM itself (as ``serve``
-        does)."""
+        the scheduler's loop handles SIGTERM itself."""
         scheduler = ClusterScheduler()
+        scheduler.submit(one_job_spec(), tmp_path / "out")
 
         async def scenario():
-            async with serving(scheduler, serve_forever=True) as server:
+            async with serving(scheduler) as server:
                 asyncio.get_running_loop().add_signal_handler(
-                    signal.SIGTERM, server.request_shutdown
+                    signal.SIGTERM, server.dispatch
                 )
+                # The only job is checked out, so the fork parks.
+                busy = await RawWorker.register(server.endpoint, "busy")
+                await busy.lease()
+                assert (await busy.recv())["type"] == protocol.MSG_JOB
                 proc = service.spawn_worker(server.endpoint, "parked")
                 try:
                     await until(lambda: "parked" in server._parked)
@@ -502,5 +525,6 @@ class TestForkedWorkers:
                     await asyncio.to_thread(proc.wait, 5.0)
                 assert code == -signal.SIGTERM
                 await until(lambda: not scheduler.workers["parked"].connected)
+                await busy.close()
 
         assert run_scenario(scenario) == []

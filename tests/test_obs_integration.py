@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.campaign import CampaignRunner, CampaignSpec, InProcessExecutor, ResultStore
+from repro.campaign import CampaignRunner, CampaignSpec, ResultStore
 from repro.perf.harness import metrics_digest
 
 
@@ -34,9 +34,7 @@ def _run_campaign(tmp_path, name="obs-int"):
         trials=1,
     )
     store = ResultStore(tmp_path / name)
-    runner = CampaignRunner(
-        spec, store, executor_factory=InProcessExecutor
-    )
+    runner = CampaignRunner(spec, store)
     return runner.run(), store
 
 
@@ -57,7 +55,10 @@ class TestCampaignSink:
         assert "campaign.job" in span_names
         assert merged["spans"]["campaign.job"]["count"] == 2
         assert merged["histograms"]["campaign.job_seconds"]["count"] == 2
-        assert merged["histograms"]["store.append_seconds"]["count"] == 2
+        # Each record is appended twice: to its worker's shard, then to
+        # the main log when the shards merge at finalize.
+        assert merged["counters"]["store.shard_merged_records"] == 2
+        assert merged["histograms"]["store.append_seconds"]["count"] == 4
 
     def test_obs_report_renders_nonempty_output(self, tmp_path):
         sink = tmp_path / "obs.jsonl"
@@ -187,38 +188,22 @@ class TestNonPerturbation:
         obs.reset()
         assert off == on
 
-    def test_trace_env_adoption_never_touches_rng_streams(
-        self, monkeypatch
-    ):
-        """REPRO_OBS_TRACE is how pool workers inherit the campaign
-        trace; parsing it must not consume from random/numpy, or every
-        worker's noise stream would shift by one draw."""
-        import random
-
-        from repro.obs.core import _activate_from_env
-
-        random.seed(123)
-        before = random.getstate()
-        monkeypatch.setenv(obs.ENV_TRACE, "feedbeefcafe0123:41-7")
-        _activate_from_env()
-        assert random.getstate() == before
-        numpy = pytest.importorskip("numpy")
-        numpy.random.seed(123)
-        np_before = numpy.random.get_state()[1].tobytes()
-        _activate_from_env()
-        assert numpy.random.get_state()[1].tobytes() == np_before
-
     def test_campaign_records_identical_under_inherited_trace(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
-        _, store_off = _run_campaign(tmp_path, name="trace-off")
-        monkeypatch.setenv(obs.ENV_TRACE, "feedbeefcafe0123:")
-        from repro.obs.core import _activate_from_env
+        """A campaign started inside an outer trace joins it; its
+        records stay identical to an untraced run's."""
+        from repro.obs import tracectx
 
-        _activate_from_env()
+        _, store_off = _run_campaign(tmp_path, name="trace-off")
+        tracectx.set_trace("feedbeefcafe0123")
         obs.enable(sink_path=str(tmp_path / "obs.jsonl"))
         _, store_on = _run_campaign(tmp_path, name="trace-on")
         obs.reset()
+        from repro.obs.report import trace_summary
+
+        summary = trace_summary(obs.load_events(str(tmp_path / "obs.jsonl")))
+        assert summary["trace_ids"] == ["feedbeefcafe0123"]
         metrics_off = {
             k: r.metrics for k, r in store_off.load_records().items()
         }

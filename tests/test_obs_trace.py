@@ -1,12 +1,12 @@
-"""Causal tracing: trace context, cross-process stitching, sink
-rotation, and the Chrome Trace / critical-path exports.
+"""Causal tracing: trace context, cross-process stitching, and the
+Chrome Trace / critical-path exports.
 
 The contract under test: a campaign gets one ``trace_id``; spans in
 every participating process join that trace (root spans adopt the
 remote parent, nested spans keep their local parent); the context
-travels on the lease's ``trace`` field (or is inherited from
-``REPRO_OBS_TRACE``) and never touches an RNG stream; rotated sinks still reconstruct the full tree; and the
-merged events export losslessly to the Trace Event Format.
+travels on the lease's ``trace`` field and never touches an RNG
+stream; and the merged events export losslessly to the Trace Event
+Format.
 """
 
 import json
@@ -16,7 +16,6 @@ import pytest
 
 from repro import obs
 from repro.obs import tracectx
-from repro.obs.core import _activate_from_env
 from repro.obs.export import (
     chrome_trace_document,
     chrome_trace_events,
@@ -24,7 +23,6 @@ from repro.obs.export import (
     render_chrome_trace,
 )
 from repro.obs.report import (
-    logical_sink,
     render_trace,
     stitch_spans,
     trace_summary,
@@ -51,7 +49,6 @@ class TestTraceContext:
         before = random.getstate()
         tracectx.new_trace_id()
         tracectx.begin_trace()
-        tracectx.env_value()
         assert random.getstate() == before
         numpy = pytest.importorskip("numpy")
         numpy.random.seed(7)
@@ -85,12 +82,6 @@ class TestTraceContext:
             "trace": "t",
             "parent": "p",
         }
-
-    def test_env_value_round_trips_through_activation(self, monkeypatch):
-        monkeypatch.setenv(obs.ENV_TRACE, tracectx.env_value("abcd", "9-3"))
-        _activate_from_env()
-        assert tracectx.current_trace_id() == "abcd"
-        assert tracectx.current_parent() == "9-3"
 
     def test_adopted_restores_prior_context(self):
         tracectx.set_trace("outer-trace", parent="outer-parent")
@@ -159,96 +150,6 @@ class TestTraceStampedSpans:
     def test_disabled_trace_helpers_are_inert(self):
         assert obs.new_span_id() == ""
         assert obs.emit_span_event("x", ts=0.0, dur=0.0) is None
-
-
-class TestEnvActivation:
-    def test_max_bytes_env_installs_rotation_cap(self, monkeypatch):
-        monkeypatch.setenv(obs.ENV_SINK, "1")
-        monkeypatch.setenv(obs.ENV_MAX_BYTES, "4096")
-        _activate_from_env()
-        from repro.obs.core import STATE
-
-        assert STATE.max_sink_bytes == 4096
-
-    def test_garbage_max_bytes_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(obs.ENV_SINK, "1")
-        monkeypatch.setenv(obs.ENV_MAX_BYTES, "lots")
-        _activate_from_env()
-        from repro.obs.core import STATE
-
-        assert STATE.max_sink_bytes is None
-
-    def test_trace_env_installs_without_sink(self, monkeypatch):
-        monkeypatch.delenv(obs.ENV_SINK, raising=False)
-        monkeypatch.setenv(obs.ENV_TRACE, "feed:")
-        _activate_from_env()
-        assert not obs.enabled()
-        assert tracectx.current_trace_id() == "feed"
-        assert tracectx.current_parent() is None
-
-    def test_trace_env_never_touches_random(self, monkeypatch):
-        random.seed(11)
-        before = random.getstate()
-        monkeypatch.setenv(obs.ENV_TRACE, "feed:1-2")
-        _activate_from_env()
-        assert random.getstate() == before
-
-
-class TestSinkRotation:
-    def _fill(self, sink, cap, n=200):
-        obs.enable(sink_path=str(sink), max_sink_bytes=cap)
-        log = obs.get_logger("rot")
-        for i in range(n):
-            log.info("event", seq=i)
-        obs.flush()
-
-    def test_rotation_caps_live_file_and_keeps_one_generation(
-        self, tmp_path
-    ):
-        sink = tmp_path / "s.jsonl"
-        self._fill(sink, cap=2048)
-        rotated = tmp_path / "s.jsonl.1"
-        assert rotated.exists()
-        assert sink.stat().st_size <= 2048
-        assert rotated.stat().st_size <= 2048
-
-    def test_rotated_lines_stay_whole(self, tmp_path):
-        sink = tmp_path / "s.jsonl"
-        self._fill(sink, cap=1024)
-        for path in (sink, tmp_path / "s.jsonl.1"):
-            for line in path.read_text().splitlines():
-                json.loads(line)
-
-    def test_load_events_multi_recovers_both_generations(self, tmp_path):
-        sink = tmp_path / "s.jsonl"
-        self._fill(sink, cap=2048, n=120)
-        events = obs.load_events_multi([str(sink)])
-        seqs = [
-            e["fields"]["seq"]
-            for e in events
-            if e["kind"] == "log" and e["msg"] == "event"
-        ]
-        # the oldest events fell off (only one rotated generation is
-        # kept) but the surviving stream is contiguous through the end
-        assert seqs == list(range(min(seqs), 120))
-        assert len(seqs) > 120 * len(str(sink)) // (2 * 2048)
-
-    def test_counters_not_double_counted_across_generations(
-        self, tmp_path
-    ):
-        sink = tmp_path / "s.jsonl"
-        obs.enable(sink_path=str(sink), max_sink_bytes=600)
-        for _ in range(10):
-            obs.counter_add("rot.jobs")
-            obs.flush()  # each flush writes a cumulative snapshot
-        events = obs.load_events_multi([str(sink)])
-        assert {logical_sink(e["_src"]) for e in events} == {str(sink)}
-        from repro.obs.report import merge_events
-
-        merged = merge_events(events)
-        # cumulative snapshots from both generations merge to the last
-        # value per process, not the sum of snapshots
-        assert merged["counters"]["rot.jobs"] == 10
 
 
 class TestChromeExport:

@@ -16,7 +16,6 @@ from repro import cli, obs
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
-    InProcessExecutor,
     ResultStore,
     build_dossier,
     discover_sinks,
@@ -40,9 +39,7 @@ def run_campaign(tmp_path, name="dossier", with_sink=False):
     store = ResultStore(tmp_path / name)
     if with_sink:
         obs.enable(sink_path=str(store.root / "obs.jsonl"))
-    result = CampaignRunner(
-        spec, store, executor_factory=InProcessExecutor
-    ).run()
+    result = CampaignRunner(spec, store).run()
     if with_sink:
         obs.flush()
         obs.reset()
